@@ -9,8 +9,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# go vet, then fail if any Go file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Static analysis: go vet plus the repo's own reprolint suite, which
 # machine-checks the atomic-statement model (atomicaccess, ctxescape,

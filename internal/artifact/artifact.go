@@ -235,6 +235,9 @@ func Replay(b *Bundle, opts ReplayOptions) (*Report, error) {
 	rep := &Report{}
 	rep.Err = protectedReplay(func() error {
 		sys, verify := build(b.Meta, ch, obs)
+		// Parked process coroutines are goroutines: without Close every
+		// replay would keep its whole system reachable for good.
+		defer sys.Close()
 		rep.RunErr = sys.Run()
 		rep.Steps = sys.Steps()
 		rep.Crashed = sys.CrashedCount()

@@ -2,6 +2,7 @@ package artifact_test
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -162,6 +163,71 @@ func TestRoundTripSoakMixCrash(t *testing.T) {
 		if nb.Err != b.Err {
 			t.Fatalf("idx=%d: normalization changed outcome %q -> %q", idx, b.Err, nb.Err)
 		}
+	}
+}
+
+// TestSoakMixReplayStable: the reclaiming C&S inside soakmix must
+// replay identically. Its reclamation pass once read the per-process
+// Active registers in map order, so one crash-injected bundle could
+// interleave those reads differently from one replay to the next and
+// end with a different statement count. The pinned soak runs are ones
+// where that happened; every replay of each must now agree on
+// statements, crashes and verdict.
+func TestSoakMixReplayStable(t *testing.T) {
+	runs := []struct{ seed, idx int64 }{
+		{20, 208}, {75, 186}, {81, 9}, {118, 87}, {124, 25}, {142, 131}, {191, 230},
+	}
+	const replays = 40
+	for _, r := range runs {
+		meta, s := artifact.SoakMeta(r.seed, r.seed^0x5eed, r.idx, 2)
+		b := &artifact.Bundle{Version: artifact.Version, Meta: meta, Sched: s}
+		var first *artifact.Report
+		for i := 0; i < replays; i++ {
+			rep, err := artifact.Replay(b, artifact.ReplayOptions{})
+			if err != nil {
+				t.Fatalf("soak run %v: %v", r, err)
+			}
+			if first == nil {
+				if rep.Crashed == 0 {
+					t.Fatalf("soak run %v injected no crash", r)
+				}
+				first = rep
+				continue
+			}
+			if rep.Steps != first.Steps || rep.Crashed != first.Crashed || verdictLine(rep.Err) != verdictLine(first.Err) {
+				t.Fatalf("soak run %v, replay %d: %d steps, %d crashed, verdict %q; first replay: %d steps, %d crashed, verdict %q",
+					r, i, rep.Steps, rep.Crashed, verdictLine(rep.Err), first.Steps, first.Crashed, verdictLine(first.Err))
+			}
+		}
+	}
+}
+
+// verdictLine is the first line of a replay verdict; a panic verdict
+// goes on with a stack trace whose addresses differ between replays.
+func verdictLine(err error) string {
+	if err == nil {
+		return ""
+	}
+	line, _, _ := strings.Cut(err.Error(), "\n")
+	return line
+}
+
+// TestReplayReleasesSystem: a replay must close the system it built.
+// Parked process coroutines are goroutines, so an unclosed system stays
+// reachable for the life of the process, and a shrink or a soak that
+// replays thousands of bundles would pile them up.
+func TestReplayReleasesSystem(t *testing.T) {
+	b := &artifact.Bundle{Version: artifact.Version,
+		Meta:  artifact.Meta{Workload: "hybridcas", N: 3, V: 2, Quantum: unicons.MinQuantum},
+		Sched: artifact.Sched{Random: true, Seed: 1}}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if _, err := artifact.Replay(b, artifact.ReplayOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("20 replays left %d goroutines behind", after-before)
 	}
 }
 

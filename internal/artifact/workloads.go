@@ -141,12 +141,8 @@ func buildMulticons(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func
 			id++
 		}
 	}
-	// Rebuild-in-hook: the Fig. 7 instance holds per-run decision state
-	// throughout its register tree, so a pooled rerun swaps in a fresh
-	// instance under the same name (identical ids, footprints, and
-	// fingerprints — the invocation closures capture the variable).
 	sys.OnReset(func() {
-		alg = multicons.New(cfg)
+		alg.Reset()
 		clear(outs)
 	})
 	return sys, verifyAgreement(outs)
@@ -168,7 +164,7 @@ func buildHybridCAS(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func
 			AddInvocation(func(c *sim.Ctx) { wins[i] = obj.CompareAndSwap(c, 0, mem.Word(i+1)) })
 	}
 	sys.OnReset(func() {
-		obj = hybridcas.New("cas", v, 0)
+		obj.Reset()
 		clear(wins)
 	})
 	verify := func(runErr error) error {
@@ -210,7 +206,7 @@ func buildUniversal(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func
 			})
 	}
 	sys.OnReset(func() {
-		ctr = universal.NewCounter("ctr", 0)
+		ctr.Reset()
 		clear(completed)
 	})
 	verify := func(runErr error) error {
@@ -252,7 +248,7 @@ func buildLockCounter(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, fu
 			})
 	}
 	sys.OnReset(func() {
-		ctr = baseline.NewLockCounter("lc", 0)
+		ctr.Reset()
 		clear(completed)
 	})
 	verify := func(runErr error) error {
@@ -408,9 +404,9 @@ func buildSoakMix(m Meta, ch sim.Chooser, obs sim.Observer) (*sim.System, func(e
 
 	sys.OnReset(func() {
 		cons.Reset()
-		cas = hybridcas.NewReclaiming("cas", v, 0, 2)
-		ctr = universal.NewCounter("ctr", 0)
-		q = universal.NewQueue("q")
+		cas.Reset()
+		ctr.Reset()
+		q.Reset()
 		clear(consOuts)
 		enqs, deqs = 0, 0
 		aud.Reset()

@@ -87,6 +87,13 @@ func NewLockCounter(name string, initial mem.Word) *LockCounter {
 	}
 }
 
+// Reset restores the initial value and frees the lock for a pooled rerun
+// (sim.System.OnReset hooks). Must not be called mid-run.
+func (l *LockCounter) Reset() {
+	l.lock.Reset()
+	l.value.Reset()
+}
+
 // Inc increments the counter under the lock and returns the prior
 // value. It blocks (spins) while the lock is held; under hybrid
 // scheduling this can spin forever.

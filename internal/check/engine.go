@@ -347,11 +347,16 @@ func (s *chooserSlot) CrashesArmed() bool {
 // every registered artifact workload). The first run probes: the
 // system is built once around a chooserSlot; if it reports Reusable,
 // every later run swaps the slot to that schedule's chooser and Resets
-// the system instead of rebuilding, which eliminates all steady-state
-// allocation (shared objects, register files, processes, coroutine
-// stacks). Builders that register no reset hooks keep the historical
-// build-per-run behaviour — and its build-count semantics, on which
-// alias detection for non-reentrant builders relies.
+// the system instead of rebuilding. Every registered workload's hook
+// resets its shared objects in place — keeping their grown storage,
+// restoring initial values outside any Ctx so the incremental memory
+// fingerprint restarts at 0 with System.Reset, keeping names and ids,
+// and using no sync.Pool — so once a warm-up has grown every chain, a
+// pooled run allocates nothing (TestPooledReplayAllocFree) and behaves
+// exactly like a fresh build (TestPooledMatchesFresh). Builders that
+// register no reset hooks keep the historical build-per-run behaviour
+// — and its build-count semantics, on which alias detection for
+// non-reentrant builders relies.
 type runner struct {
 	build  Builder
 	slot   chooserSlot

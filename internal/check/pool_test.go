@@ -1,52 +1,190 @@
 package check
 
 import (
+	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/artifact"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
-// TestPooledReplayAllocFree pins the tentpole allocation guarantee: the
-// steady-state replay loop — Script reset, pooled System reset, run,
-// verify — performs zero heap allocations per schedule for the pinned
-// unicons workload. A regression here (a forgotten buffer reset, a
-// fresh slice or map per run, a new closure on the hot path) is the
-// kind of cost that silently erodes explorer throughput.
+// poolMetas gives every registered workload a configuration whose
+// replays grow its run-time storage: universal and qlocal chains,
+// hybridcas cell stores, Fig. 7 election tables, and in soakmix the
+// reclaiming C&S and the queue's item log.
+var poolMetas = map[string]artifact.Meta{
+	"unicons":     {Workload: "unicons", N: 3, V: 1, Quantum: 8, MaxSteps: 1 << 16},
+	"multicons":   {Workload: "multicons", P: 2, M: 2, V: 2, K: 1, Quantum: 64, MaxSteps: 1 << 20},
+	"hybridcas":   {Workload: "hybridcas", N: 3, V: 2, Quantum: 8},
+	"universal":   {Workload: "universal", N: 3, V: 2, Quantum: 8},
+	"lockcounter": {Workload: "lockcounter", N: 2, V: 2, Quantum: 4, MaxSteps: 2000},
+	"soakmix":     {Workload: "soakmix", N: 5, V: 2, Quantum: 8, WorkSeed: 133},
+}
+
+// poolMeta returns name's pooled-replay configuration, failing the test
+// for a registered workload that has none.
+func poolMeta(t *testing.T, name string) artifact.Meta {
+	t.Helper()
+	meta, ok := poolMetas[name]
+	if !ok {
+		t.Fatalf("workload %q has no entry in poolMetas", name)
+	}
+	return meta
+}
+
+// decisionVectors returns count seeded decision vectors of the given
+// length with choices in [0, 3); the Script clamps out-of-range ones.
+func decisionVectors(seed int64, count, length int) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]int, count)
+	for i := range out {
+		out[i] = make([]int, length)
+		for j := range out[i] {
+			out[i][j] = rng.Intn(3)
+		}
+	}
+	return out
+}
+
+// TestPooledReplayAllocFree pins the allocation guarantee of pooled
+// exploration for every registered workload: once a warm-up has grown
+// every reusable buffer and every shared object's storage to its
+// largest size, the steady-state replay loop — Script reset, pooled
+// System reset, run, verify — performs zero heap allocations per
+// schedule. A regression here (an OnReset hook that rebuilds an object,
+// a fresh slice or map per run, a new closure on the hot path) is the
+// kind of cost that silently erodes explorer throughput. Only clean
+// schedules are timed: a violation allocates its error report by
+// design.
 func TestPooledReplayAllocFree(t *testing.T) {
-	build, err := BuilderFor(artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 8, MaxSteps: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range artifact.Workloads() {
+		meta := poolMeta(t, name)
+		t.Run(name, func(t *testing.T) {
+			build, err := BuilderFor(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRunner(build)
+			script := &sched.Script{}
+			replay := func(decisions []int) error {
+				script.Reset(decisions)
+				_, verify, runErr := r.run(script)
+				return verify(runErr)
+			}
+			var clean [][]int
+			for _, dec := range decisionVectors(1, 24, 32) {
+				if replay(dec) == nil {
+					clean = append(clean, dec)
+				}
+			}
+			if !r.pooled {
+				t.Fatalf("%s did not produce a reusable system; pooling is off", name)
+			}
+			if len(clean) < 4 {
+				t.Fatalf("only %d of 24 warm-up schedules were clean", len(clean))
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				dec := clean[i%len(clean)]
+				i++
+				if verr := replay(dec); verr != nil {
+					t.Fatalf("replay %v: unexpected violation: %v", dec, verr)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("pooled replay loop allocates %v objects per schedule; want 0", allocs)
+			}
+		})
 	}
-	r := newRunner(build)
-	script := &sched.Script{}
-	replay := func(decisions []int) error {
-		script.Reset(decisions)
-		_, verify, runErr := r.run(script)
-		return verify(runErr)
+}
+
+// fpScript is a Script that also records the system fingerprint at
+// every decision point.
+type fpScript struct {
+	sched.Script
+	fps []uint64
+}
+
+func (s *fpScript) Pick(d sim.Decision) int {
+	s.fps = append(s.fps, d.Sys.Fingerprint())
+	return s.Script.Pick(d)
+}
+
+func (s *fpScript) reset(decisions []int) {
+	s.Script.Reset(decisions)
+	s.fps = s.fps[:0]
+}
+
+// runOutcome is what one schedule's run shows to an explorer.
+type runOutcome struct {
+	steps    int64
+	crashed  int
+	invStmts [][]int64
+	fps      []uint64
+	verdict  string
+}
+
+func outcomeOf(sys *sim.System, verify Verify, runErr error, ch *fpScript) runOutcome {
+	o := runOutcome{steps: sys.Steps(), crashed: sys.CrashedCount(), fps: append([]uint64(nil), ch.fps...)}
+	for _, p := range sys.Processes() {
+		o.invStmts = append(o.invStmts, append([]int64(nil), p.InvStmts()...))
 	}
-	// Warm up: probe-build the pooled system and grow every reusable
-	// buffer (fan-out records, kernel access logs, candidate scratch)
-	// to its steady-state capacity.
-	warmup := [][]int{nil, {1}, {2}, {0, 1}, {1, 2, 1}}
-	for _, dec := range warmup {
-		if verr := replay(dec); verr != nil {
-			t.Fatalf("warmup replay %v: unexpected violation: %v", dec, verr)
-		}
+	if verr := verify(runErr); verr != nil {
+		o.verdict = verr.Error()
 	}
-	if !r.pooled {
-		t.Fatal("unicons workload did not produce a reusable system; pooling is off")
-	}
-	decisions := []int{1, 2, 1}
-	allocs := testing.AllocsPerRun(200, func() {
-		if verr := replay(decisions); verr != nil {
-			t.Fatalf("replay %v: unexpected violation: %v", decisions, verr)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled replay loop allocates %v objects per schedule; want 0", allocs)
+	return o
+}
+
+// TestPooledMatchesFresh shows that resetting shared objects in place
+// behaves exactly like rebuilding them. For every registered workload,
+// with and without a planned crash, each seeded decision vector is run
+// on a fresh build and, after Reset, on a pooled system that has just
+// run a longer schedule (so its storage has grown past what the vector
+// needs). Both runs must agree on statement count, crash count,
+// per-process invocation lengths, the fingerprint at every decision and
+// the verdict.
+func TestPooledMatchesFresh(t *testing.T) {
+	for _, name := range artifact.Workloads() {
+		base := poolMeta(t, name)
+		t.Run(name, func(t *testing.T) {
+			crashed := base
+			crashed.Crashes = []sched.CrashPoint{{Proc: 1, Step: 40}}
+			for _, meta := range []artifact.Meta{base, crashed} {
+				build, err := BuilderFor(meta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pooledCh := &fpScript{}
+				pooled, pooledVerify := build(pooledCh)
+				if !pooled.Reusable() {
+					t.Fatalf("%s did not produce a reusable system", name)
+				}
+				longer := decisionVectors(2, 6, 96)
+				for i, dec := range decisionVectors(3, 6, 24) {
+					freshCh := &fpScript{}
+					freshCh.reset(dec)
+					fresh, freshVerify := build(freshCh)
+					want := outcomeOf(fresh, freshVerify, fresh.Run(), freshCh)
+					fresh.Close()
+
+					pooledCh.reset(longer[i])
+					pooled.Reset()
+					pooled.Run()
+					pooledCh.reset(dec)
+					pooled.Reset()
+					got := outcomeOf(pooled, pooledVerify, pooled.Run(), pooledCh)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("crashes %v, decisions %v: pooled run differs from a fresh build\npooled: %+v\nfresh:  %+v",
+							meta.Crashes, dec, got, want)
+					}
+				}
+				pooled.Close()
+			}
+		})
 	}
 }
 

@@ -84,10 +84,35 @@ func unpackKey(w mem.Word) cellKey {
 // cell is one list cell: val is the object value after the cell's
 // operation, nxt decides the successor cell, depth is the cell's
 // position in the chain (written before the cell can be referenced).
+// The remaining fields are runtime-side reclamation bookkeeping.
 type cell struct {
 	val   *mem.Reg
 	nxt   *unicons.Object
 	depth *mem.Reg
+
+	known mem.Word // owner-known depth (reclaiming objects; 0 for genesis)
+	freed bool     // reclamation freed the cell
+}
+
+func (cl *cell) reset() {
+	cl.val.Reset()
+	cl.nxt.Reset()
+	cl.depth.Reset()
+	cl.known, cl.freed = 0, false
+}
+
+// owner is one process's cell store; owner 0 is the genesis
+// pseudo-process. cells[tag] is the cell named (id, tag): cells[:next]
+// were allocated by the current run, and the rest is storage grown by
+// earlier runs, already reset and reissued in tag order.
+type owner struct {
+	cells []*cell
+	next  int // the owner's private tag variable
+
+	// Reclamation state (NewReclaiming only).
+	active     *mem.Reg // published basis; kept across pooled runs
+	activeLive bool     // active was created by the current run
+	retired    []int    // tags of linked cells eligible for floor-based freeing
 }
 
 // Object is a Fig. 5 compare-and-swap object for one hybrid-scheduled
@@ -97,8 +122,7 @@ type Object struct {
 	name   string
 	levels int
 	hd     []*qlocal.Object // hd[v] for v in 1..V (index 0 unused)
-	cells  map[cellKey]*cell
-	tags   map[int]int // per-process next tag (private variables)
+	owners []owner          // owners[k.id] holds the cells named (k.id, ·)
 
 	rec *reclaimState // nil unless built with NewReclaiming
 
@@ -114,18 +138,16 @@ func New(name string, levels int, initial mem.Word) *Object {
 	if levels < 1 {
 		panic(fmt.Sprintf("hybridcas: need >= 1 priority level, got %d", levels))
 	}
+	genesis := &cell{
+		val:   mem.NewRegInit(name+".cell[g].val", initial),
+		nxt:   unicons.New(name + ".cell[g].nxt"),
+		depth: mem.NewRegInit(name+".cell[g].depth", 0),
+	}
 	o := &Object{
 		name:   name,
 		levels: levels,
 		hd:     make([]*qlocal.Object, levels+1),
-		cells:  make(map[cellKey]*cell),
-		tags:   make(map[int]int),
-	}
-	g := cellKey{id: 0, tag: 0}
-	o.cells[g] = &cell{
-		val:   mem.NewRegInit(name+".cell[g].val", initial),
-		nxt:   unicons.New(name + ".cell[g].nxt"),
-		depth: mem.NewRegInit(name+".cell[g].depth", 0),
+		owners: []owner{{cells: []*cell{genesis}, next: 1}},
 	}
 	for v := 1; v <= levels; v++ {
 		o.hd[v] = qlocal.New(fmt.Sprintf("%s.Hd[%d]", name, v), genesisPacked)
@@ -133,26 +155,81 @@ func New(name string, levels int, initial mem.Word) *Object {
 	return o
 }
 
+// Reset restores the object to its initial value for a pooled rerun
+// (sim.System.OnReset hooks). The grown cell stores are kept: tags
+// restart at 0 and reissue the reset cells under their original names.
+// Must not be called mid-run.
+func (o *Object) Reset() {
+	for v := 1; v <= o.levels; v++ {
+		o.hd[v].Reset()
+	}
+	for i := range o.owners {
+		ow := &o.owners[i]
+		for _, cl := range ow.cells[:ow.next] {
+			cl.reset()
+		}
+		ow.next = 0
+		if ow.active != nil {
+			ow.active.Reset()
+		}
+		ow.activeLive = false
+		ow.retired = ow.retired[:0]
+	}
+	o.owners[0].next = 1 // the genesis cell
+	o.maxWalk, o.appends = 0, 0
+	if o.rec != nil {
+		o.rec.floorReg.Reset()
+		o.rec.freed = 0
+	}
+}
+
+// owner returns process id's cell store, growing the owner table. The
+// pointer is valid only until the caller's next Ctx access: another
+// process may grow the table in between.
+func (o *Object) owner(id int) *owner {
+	if id+1 > maxProcs {
+		panic(fmt.Sprintf("hybridcas: process id %d exceeds packing limit", id))
+	}
+	if n := id + 2 - len(o.owners); n > 0 {
+		o.owners = append(o.owners, make([]owner, n)...)
+	}
+	return &o.owners[id+1]
+}
+
 // newCell allocates the caller's next cell. Allocation is runtime-side
 // (the unbounded-name idealization); the cell becomes visible to the
 // algorithm only through subsequently written registers.
 func (o *Object) newCell(id int) (cellKey, *cell) {
-	if id+1 > maxProcs {
-		panic(fmt.Sprintf("hybridcas: process id %d exceeds packing limit", id))
-	}
-	tag := o.tags[id]
+	ow := o.owner(id)
+	tag := ow.next
 	if tag > maxTagsPerOp {
 		panic(fmt.Sprintf("hybridcas: process %d exhausted %d tags", id, maxTagsPerOp))
 	}
-	o.tags[id] = tag + 1
+	ow.next = tag + 1
 	k := cellKey{id: id + 1, tag: tag}
+	if tag < len(ow.cells) {
+		return k, ow.cells[tag]
+	}
 	cl := &cell{
 		val:   mem.NewReg(fmt.Sprintf("%s.cell[%d,%d].val", o.name, k.id, k.tag)),
 		nxt:   unicons.New(fmt.Sprintf("%s.cell[%d,%d].nxt", o.name, k.id, k.tag)),
 		depth: mem.NewReg(fmt.Sprintf("%s.cell[%d,%d].depth", o.name, k.id, k.tag)),
 	}
-	o.cells[k] = cl
+	ow.cells = append(ow.cells, cl)
 	return k, cl
+}
+
+// lookup returns the cell named k if the current run allocated it and
+// reclamation has not freed it, else nil.
+func (o *Object) lookup(k cellKey) *cell {
+	if k.id >= len(o.owners) {
+		return nil
+	}
+	ow := &o.owners[k.id]
+	if k.tag >= ow.next || ow.cells[k.tag].freed {
+		return nil
+	}
+	return ow.cells[k.tag]
 }
 
 // findHead scans the V head hints (one register read each), picks the
@@ -178,7 +255,7 @@ func (o *Object) findHead(c *sim.Ctx) cellKey {
 	// minimum candidate depth: every reference this operation can still
 	// hold is at least that deep, so the floor may advance behind it.
 	if o.rec != nil {
-		c.Write(o.rec.activeReg(c.ID()), minDepth)
+		c.Write(o.activeReg(c.ID()), minDepth)
 	}
 	walk := 0
 	k := best
@@ -236,7 +313,7 @@ func (o *Object) cas(c *sim.Ctx, old, new mem.Word) (ok, appended bool, key cell
 	// Nontrivial: append by deciding the head's nxt pointer (line 37).
 	hd := c.Read(h.depth)
 	c.Write(cl.depth, hd+1)
-	o.noteDepth(key, hd+1)
+	o.noteDepth(cl, hd+1)
 	if h.nxt.Decide(c, packKey(key)) != packKey(key) {
 		// Another nontrivial C&S appended first and linearizes between
 		// our certificate and now; fail (paper line 45).
@@ -295,7 +372,7 @@ func (o *Object) Peek() mem.Word {
 			//repro:allow post-run Peek walks hint registers only after the run completes
 			_, hv := qlocal.UnpackCur(o.hd[v].Hint().Load())
 			hk := unpackKey(hv)
-			if d := o.rec.depths[hk]; d >= best {
+			if d, _ := o.knownDepth(hk); d >= best {
 				best, k = d, hk
 			}
 		}
@@ -322,7 +399,7 @@ func (o *Object) ChainLen() int {
 	k := cellKey{id: 0, tag: 0}
 	//repro:bound unbounded post-run walk over the whole applied-ops chain; never executed during a run
 	for {
-		nxt := o.cells[k].nxt.Peek()
+		nxt := o.cellAt(k).nxt.Peek()
 		if nxt == mem.Bottom {
 			return n
 		}

@@ -68,10 +68,10 @@ func TestGenesisState(t *testing.T) {
 	if o.Levels() != 2 {
 		t.Fatalf("levels = %d", o.Levels())
 	}
-	if _, ok := o.cells[cellKey{id: 0, tag: 0}]; !ok {
+	if o.lookup(cellKey{id: 0, tag: 0}) == nil {
 		t.Fatal("genesis cell missing")
 	}
-	if o.cells[cellKey{}].depth.Load() != 0 {
+	if o.lookup(cellKey{}).depth.Load() != 0 {
 		t.Fatal("genesis depth != 0")
 	}
 }

@@ -42,12 +42,11 @@ import (
 const idleBasis = mem.Bottom
 
 // reclaimState is attached to an Object when reclamation is enabled.
+// The per-process state (Active register, owner-known depths, retired
+// cells) lives in the owner and cell stores.
 type reclaimState struct {
 	threshold int
-	floorReg  *mem.Reg             // global floor (depth); advances, stale rewinds are safe
-	active    map[int]*mem.Reg     // per-process published basis
-	depths    map[cellKey]mem.Word // owner-known depth of each linked cell
-	retired   map[int][]cellKey    // linked cells eligible for floor-based freeing, per owner
+	floorReg  *mem.Reg // global floor (depth); advances, stale rewinds are safe
 	freed     int
 }
 
@@ -64,9 +63,6 @@ func NewReclaiming(name string, levels int, initial mem.Word, threshold int) *Ob
 	o.rec = &reclaimState{
 		threshold: threshold,
 		floorReg:  mem.NewRegInit(name+".floor", 0),
-		active:    make(map[int]*mem.Reg),
-		depths:    make(map[cellKey]mem.Word),
-		retired:   make(map[int][]cellKey),
 	}
 	return o
 }
@@ -74,9 +70,18 @@ func NewReclaiming(name string, levels int, initial mem.Word, threshold int) *Ob
 // Reclaiming reports whether the object reclaims storage.
 func (o *Object) Reclaiming() bool { return o.rec != nil }
 
-// LiveCells returns the number of allocated cells. Post-run inspection
-// only.
-func (o *Object) LiveCells() int { return len(o.cells) }
+// LiveCells returns the number of allocated cells not yet freed.
+// Post-run inspection only.
+func (o *Object) LiveCells() int {
+	n := 0
+	for i := range o.owners {
+		n += o.owners[i].next
+	}
+	if o.rec != nil {
+		n -= o.rec.freed
+	}
+	return n
+}
 
 // FreedCells returns how many cells reclamation has freed. Post-run
 // inspection only.
@@ -87,14 +92,17 @@ func (o *Object) FreedCells() int {
 	return o.rec.freed
 }
 
-// activeReg returns (lazily creating) the caller's Active register.
-func (r *reclaimState) activeReg(id int) *mem.Reg {
-	reg, ok := r.active[id]
-	if !ok {
-		reg = mem.NewReg(fmt.Sprintf("active[%d]", id))
-		r.active[id] = reg
+// activeReg returns the caller's Active register, creating it at the
+// caller's first operation of the run.
+func (o *Object) activeReg(id int) *mem.Reg {
+	ow := o.owner(id)
+	if !ow.activeLive {
+		if ow.active == nil {
+			ow.active = mem.NewReg(fmt.Sprintf("active[%d]", id))
+		}
+		ow.activeLive = true
 	}
-	return reg
+	return ow.active
 }
 
 // beginOp publishes the caller's basis. Must run before any head-hint
@@ -104,7 +112,7 @@ func (o *Object) beginOp(c *sim.Ctx) {
 		return
 	}
 	basis := c.Read(o.rec.floorReg)
-	c.Write(o.rec.activeReg(c.ID()), basis)
+	c.Write(o.activeReg(c.ID()), basis)
 }
 
 // endOp clears the caller's Active register and retires cells. One
@@ -118,15 +126,15 @@ func (o *Object) endOp(c *sim.Ctx, appended *cellKey, unlinked []cellKey) {
 	// them, so they free immediately (runtime-side).
 	//repro:bound 1 an operation unlinks at most its own unpublished cell
 	for _, k := range unlinked {
-		delete(o.cells, k)
-		delete(r.depths, k)
+		o.cellAt(k).freed = true
 		r.freed++
 	}
 	if appended != nil {
-		r.retired[c.ID()] = append(r.retired[c.ID()], *appended)
+		ow := o.owner(c.ID())
+		ow.retired = append(ow.retired, appended.tag)
 	}
-	c.Write(r.activeReg(c.ID()), idleBasis)
-	if len(r.retired[c.ID()]) >= r.threshold {
+	c.Write(o.activeReg(c.ID()), idleBasis)
+	if len(o.owner(c.ID()).retired) >= r.threshold {
 		o.reclaimPass(c)
 	}
 }
@@ -138,55 +146,65 @@ func (o *Object) reclaimPass(c *sim.Ctx) {
 	r := o.rec
 	floor := mem.Word(1<<32 - 1)
 	// Every in-flight operation pins depths down to its published basis.
+	// The registers are read in process-id order, so a replay repeats
+	// the same interleaving.
 	//repro:bound n one Active register per process
-	for id := range r.active {
-		if a := c.Read(r.active[id]); a != idleBasis && a < floor {
-			floor = a
+	for id, n := 1, len(o.owners); id < n; id++ {
+		if ow := &o.owners[id]; ow.activeLive {
+			if a := c.Read(ow.active); a != idleBasis && a < floor {
+				floor = a
+			}
 		}
 	}
 	// Every current hint is a live reference.
 	for v := 1; v <= o.levels; v++ {
 		_, hv := o.hd[v].WeakRead(c)
 		k := unpackKey(hv)
-		switch d, ok := r.depths[k]; {
-		case ok && d < floor:
-			floor = d
-		case !ok && k == (cellKey{}):
-			floor = 0 // genesis still hinted
-		case !ok:
+		d, ok := o.knownDepth(k) // the genesis cell, still hinted, has depth 0
+		if !ok {
 			panic(fmt.Sprintf("hybridcas: %s: hint names unknown cell (%d,%d)", o.name, k.id, k.tag))
 		}
+		floor = min(floor, d)
 	}
 	// Advance the global floor. A concurrent (or later, stale) write can
 	// only lower it, which merely delays reclamation.
 	c.Write(r.floorReg, floor)
 	// Free own retired cells strictly below the floor.
-	kept := r.retired[c.ID()][:0]
+	ow := o.owner(c.ID())
+	kept := ow.retired[:0]
 	//repro:bound threshold+1 retired cells drain every threshold operations, so at most threshold plus the cell retired this call accumulate
-	for _, k := range r.retired[c.ID()] {
-		if r.depths[k] < floor {
-			delete(o.cells, k)
-			delete(r.depths, k)
+	for _, tag := range ow.retired {
+		if cl := ow.cells[tag]; cl.known < floor {
+			cl.freed = true
 			r.freed++
 		} else {
-			kept = append(kept, k)
+			kept = append(kept, tag)
 		}
 	}
-	r.retired[c.ID()] = kept
+	ow.retired = kept
 }
 
 // noteDepth records a linked cell's depth for the owner (runtime-side;
 // the owner just wrote the depth register itself).
-func (o *Object) noteDepth(k cellKey, d mem.Word) {
+func (o *Object) noteDepth(cl *cell, d mem.Word) {
 	if o.rec != nil {
-		o.rec.depths[k] = d
+		cl.known = d
 	}
+}
+
+// knownDepth returns the owner-known depth of k's cell, if the cell is
+// live.
+func (o *Object) knownDepth(k cellKey) (mem.Word, bool) {
+	if cl := o.lookup(k); cl != nil {
+		return cl.known, true
+	}
+	return 0, false
 }
 
 // cellAt returns the live cell for k, failing loudly if reclamation ever
 // freed a still-reachable cell (the invariant the scheme must uphold).
 func (o *Object) cellAt(k cellKey) *cell {
-	cl := o.cells[k]
+	cl := o.lookup(k)
 	if cl == nil {
 		panic(fmt.Sprintf("hybridcas: %s: reclaimed cell (%d,%d) accessed — reclamation invariant violated", o.name, k.id, k.tag))
 	}

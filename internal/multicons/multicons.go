@@ -84,12 +84,12 @@ type Algorithm struct {
 	cfg Config
 	l   int
 
-	levelObjs []*mem.ConsObject         // [1..L] C-consensus objects
-	outval    [][]*mem.Reg              // [processor][1..L] published outputs
-	port      [][]*qlocal.Object        // [processor][1..V] next-port counters
-	lastpub   [][]*qlocal.Object        // [processor][1..V] newest published level
-	elections []map[int]*unicons.Object // [processor][port] local consensus
-	claims    [][]int                   // [processor][level] port claims (lemma accounting)
+	levelObjs []*mem.ConsObject   // [1..L] C-consensus objects
+	outval    [][]*mem.Reg        // [processor][1..L] published outputs
+	port      [][]*qlocal.Object  // [processor][1..V] next-port counters
+	lastpub   [][]*qlocal.Object  // [processor][1..V] newest published level
+	elections [][]*unicons.Object // [processor][port] local consensus, grown on first use
+	claims    [][]int             // [processor][level] port claims (lemma accounting)
 }
 
 // New returns a fresh Fig. 7 instance.
@@ -103,7 +103,7 @@ func New(cfg Config) *Algorithm {
 	a.outval = make([][]*mem.Reg, cfg.P)
 	a.port = make([][]*qlocal.Object, cfg.P)
 	a.lastpub = make([][]*qlocal.Object, cfg.P)
-	a.elections = make([]map[int]*unicons.Object, cfg.P)
+	a.elections = make([][]*unicons.Object, cfg.P)
 	for i := 0; i < cfg.P; i++ {
 		a.outval[i] = mem.NewRegArray(fmt.Sprintf("%s.Outval[%d]", cfg.Name, i), a.l+1)
 		a.port[i] = make([]*qlocal.Object, cfg.V+1)
@@ -114,13 +114,35 @@ func New(cfg Config) *Algorithm {
 			a.port[i][v] = qlocal.New(fmt.Sprintf("%s.Port[%d][%d]", cfg.Name, i, v), 1)
 			a.lastpub[i][v] = qlocal.New(fmt.Sprintf("%s.Lastpub[%d][%d]", cfg.Name, i, v), 0)
 		}
-		a.elections[i] = make(map[int]*unicons.Object)
 	}
 	a.claims = make([][]int, cfg.P)
 	for i := range a.claims {
 		a.claims[i] = make([]int, a.l+1)
 	}
 	return a
+}
+
+// Reset restores the instance to its initial state for a pooled rerun
+// (sim.System.OnReset hooks), keeping the election objects grown so
+// far: a reset election is indistinguishable from one not yet created.
+// Must not be called mid-run.
+func (a *Algorithm) Reset() {
+	for _, o := range a.levelObjs[1:] {
+		o.Reset()
+	}
+	for i := range a.outval {
+		mem.ResetRegs(a.outval[i])
+		for v := 1; v <= a.cfg.V; v++ {
+			a.port[i][v].Reset()
+			a.lastpub[i][v].Reset()
+		}
+		for _, o := range a.elections[i] {
+			if o != nil {
+				o.Reset()
+			}
+		}
+		clear(a.claims[i])
+	}
 }
 
 // Config returns the instance's configuration.
@@ -132,12 +154,15 @@ func (a *Algorithm) L() int { return a.l }
 // election returns the local consensus object for (processor, port),
 // allocating lazily (runtime-side; ports are bounded by 2L+M).
 func (a *Algorithm) election(processor, port int) *unicons.Object {
-	o, ok := a.elections[processor][port]
-	if !ok {
-		o = unicons.New(fmt.Sprintf("%s.elect[%d][%d]", a.cfg.Name, processor, port))
-		a.elections[processor][port] = o
+	es := a.elections[processor]
+	if n := port + 1 - len(es); n > 0 {
+		es = append(es, make([]*unicons.Object, n)...)
+		a.elections[processor] = es
 	}
-	return o
+	if es[port] == nil {
+		es[port] = unicons.New(fmt.Sprintf("%s.elect[%d][%d]", a.cfg.Name, processor, port))
+	}
+	return es[port]
 }
 
 // Decide performs the Fig. 7 decide(val) operation for the calling

@@ -35,8 +35,10 @@
 // premise of the underlying consensus cells.
 //
 // The chain uses an idealized unbounded cell array (grown by the runtime
-// between atomic statements, never recycled); the paper's bounded-tag
-// memory management from [2] is implemented at the Fig. 5 layer.
+// between atomic statements, never recycled within a run); the paper's
+// bounded-tag memory management from [2] is implemented at the Fig. 5
+// layer. Reset rewinds the object for a pooled rerun and keeps the grown
+// chain: a reset slot is indistinguishable from one not yet grown.
 package qlocal
 
 import (
@@ -69,7 +71,7 @@ type Object struct {
 	cells []*unicons.Object // cells[k] decides transition k (index 0 unused)
 	vals  []*mem.Reg        // vals[k] holds the k-th value (vals[0] = initial)
 	cur   *mem.Reg          // packed (seq, value) hint
-	last  map[int]int       // per-process private basis (persists across invocations)
+	last  []int             // per-process private basis by process id (persists across invocations)
 }
 
 // New returns an object holding initial. initial must be ≤ MaxValue.
@@ -82,9 +84,20 @@ func New(name string, initial mem.Word) *Object {
 		cells: []*unicons.Object{nil},
 		vals:  []*mem.Reg{mem.NewRegInit(name+".val[0]", initial)},
 		cur:   mem.NewRegInit(name+".cur", packCur(0, initial)),
-		last:  make(map[int]int),
 	}
 	return o
+}
+
+// Reset restores the object to its initial value for a pooled rerun
+// (sim.System.OnReset hooks), keeping the grown chain. Must not be
+// called mid-run.
+func (o *Object) Reset() {
+	for _, cell := range o.cells[1:] {
+		cell.Reset()
+	}
+	mem.ResetRegs(o.vals)
+	o.cur.Reset()
+	clear(o.last)
 }
 
 // packCur packs a (sequence, value) pair into one word.
@@ -124,7 +137,10 @@ func (o *Object) ensure(k int) {
 // its index. The read of vals[j+1] = ⊥ is the linearization certificate:
 // at that instant the object's value is vals[j].
 func (o *Object) findLatest(c *sim.Ctx) int {
-	j := o.last[c.ID()]
+	j := 0
+	if c.ID() < len(o.last) {
+		j = o.last[c.ID()]
+	}
 	if hint, _ := UnpackCur(c.Read(o.cur)); hint > j {
 		j = hint
 	}
@@ -163,6 +179,9 @@ func (o *Object) decide(c *sim.Ctx, j int, val mem.Word) (winner int, decided me
 	// compensate by walking forward, other levels by the Fig. 5 head-scan
 	// tolerance.
 	c.Write(o.cur, packCur(j+1, decided))
+	if n := c.ID() + 1 - len(o.last); n > 0 {
+		o.last = append(o.last, make([]int, n)...)
+	}
 	o.last[c.ID()] = j + 1
 	return winner, decided
 }

@@ -50,9 +50,14 @@ func (a *Auditor) Err() error { return a.err }
 
 // Reset clears the audit state for a pooled rerun (System.OnReset
 // hooks): Config.Observer is fixed at New, so a reusable system reuses
-// the same auditor across runs.
+// the same auditor across runs. Entries are zeroed in place rather than
+// deleted: a zero entry audits exactly like a missing one, and keeping
+// it makes a pooled rerun allocation-free.
 func (a *Auditor) Reset() {
-	clear(a.procs)
+	//repro:allow maporder every entry is zeroed; the order cannot reach any output
+	for _, s := range a.procs {
+		*s = auditState{}
+	}
 	a.err = nil
 }
 

@@ -301,7 +301,10 @@ func (s *System) AddProcess(spec ProcSpec) *Process {
 // OnReset registers a hook Reset runs after clearing kernel and process
 // state. Builders use hooks to restore shared objects and output buffers
 // to their initial values; registering any hook marks the system
-// Reusable. Hooks run in registration order.
+// Reusable. Hooks run in registration order. A hook resets objects in
+// place rather than rebuilding them: it keeps their grown storage and
+// their names, and restores values outside any Ctx, so every object's
+// StateHash is back to 0 as Reset's memory fingerprint assumes.
 func (s *System) OnReset(hook func()) {
 	if hook == nil {
 		panic("sim: nil OnReset hook")

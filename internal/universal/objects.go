@@ -53,6 +53,10 @@ func (ct *Counter) Get(c *sim.Ctx) mem.Word { return ct.o.Invoke(c, counterOpGet
 // Peek returns the current value. Post-run inspection only.
 func (ct *Counter) Peek() mem.Word { return ct.o.PeekState().(mem.Word) }
 
+// Reset restores the initial value for a pooled rerun (sim.System.OnReset
+// hooks). Must not be called mid-run.
+func (ct *Counter) Reset() { ct.o.Reset() }
+
 // Queue op encoding.
 const (
 	queueOpEnq = 1
@@ -62,36 +66,65 @@ const (
 // QueueEmpty is returned by Deq on an empty queue.
 const QueueEmpty = mem.Word(1<<32 - 1)
 
-type queueState struct {
-	items []mem.Word // persistent: never mutated in place
+// queueState is a queue value: the items log[head:tail] of its Queue's
+// item log. Every state of one chain shares that log, because the
+// chain orders all enqueues: the i-th enqueue always writes its item to
+// log[i]. States are immutable and are handed out as pointers into the
+// Queue's state arena, so once the arena has grown, memoizing a state
+// allocates nothing.
+type queueState struct{ head, tail int }
+
+// emptyQueue is the initial state of every Queue.
+var emptyQueue = &queueState{}
+
+// Queue is a wait-free shared FIFO queue for all priority levels of one
+// hybrid-scheduled processor, built from reads and writes only. Items
+// are words of at most 28 bits.
+type Queue struct {
+	o      *Object
+	log    []mem.Word   // enqueued items in chain order
+	states []queueState // state arena, rewound by Reset
 }
 
-func queueApply(state any, op mem.Word) (any, mem.Word) {
-	q := state.(queueState)
+// NewQueue returns an empty queue.
+func NewQueue(name string) *Queue {
+	q := &Queue{}
+	q.o = New(name, emptyQueue, q.apply)
+	return q
+}
+
+// apply is the queue's sequential specification over the shared item
+// log. It never mutates its argument. Processes replaying the chain at
+// the same time may apply one enqueue more than once; each writes the
+// same item to the same log slot, so the log is never truncated.
+func (q *Queue) apply(state any, op mem.Word) (any, mem.Word) {
+	s := *state.(*queueState)
 	switch op & 0xF {
 	case queueOpEnq:
-		next := queueState{items: make([]mem.Word, len(q.items)+1)}
-		copy(next.items, q.items)
-		next.items[len(q.items)] = op >> 4
-		return next, mem.Word(len(q.items))
-	case queueOpDeq:
-		if len(q.items) == 0 {
-			return q, QueueEmpty
+		if s.tail < len(q.log) {
+			q.log[s.tail] = op >> 4
+		} else {
+			q.log = append(q.log, op>>4)
 		}
-		return queueState{items: q.items[1:]}, q.items[0]
+		ret := mem.Word(s.tail - s.head)
+		s.tail++
+		return q.state(s), ret
+	case queueOpDeq:
+		if s.head == s.tail {
+			return state, QueueEmpty
+		}
+		s.head++
+		return q.state(s), q.log[s.head-1]
 	default:
 		panic(fmt.Sprintf("universal: bad queue op %#x", op))
 	}
 }
 
-// Queue is a wait-free shared FIFO queue for all priority levels of one
-// hybrid-scheduled processor, built from reads and writes only. Items
-// are words of at most 28 bits.
-type Queue struct{ o *Object }
-
-// NewQueue returns an empty queue.
-func NewQueue(name string) *Queue {
-	return &Queue{o: New(name, queueState{}, queueApply)}
+// state stores s in the arena and returns its address. An arena that
+// grows moves to a new array, leaving earlier states where they were.
+func (q *Queue) state(s queueState) *queueState {
+	q.states = append(q.states, s)
+	return &q.states[len(q.states)-1]
 }
 
 // Enq appends item (≤ 28 bits) and returns the queue length before the
@@ -108,7 +141,19 @@ func (q *Queue) Enq(c *sim.Ctx, item mem.Word) mem.Word {
 func (q *Queue) Deq(c *sim.Ctx) mem.Word { return q.o.Invoke(c, queueOpDeq) }
 
 // PeekLen returns the current queue length. Post-run inspection only.
-func (q *Queue) PeekLen() int { return len(q.o.PeekState().(queueState).items) }
+func (q *Queue) PeekLen() int {
+	s := q.o.PeekState().(*queueState)
+	return s.tail - s.head
+}
+
+// Reset empties the queue for a pooled rerun (sim.System.OnReset hooks),
+// keeping the grown chain, log and state arena. Must not be called
+// mid-run.
+func (q *Queue) Reset() {
+	q.o.Reset()
+	q.log = q.log[:0]
+	q.states = q.states[:0]
+}
 
 // Stack op encoding.
 const (
@@ -167,6 +212,10 @@ func (s *Stack) Pop(c *sim.Ctx) mem.Word { return s.o.Invoke(c, stackOpPop) }
 // PeekLen returns the current stack size. Post-run inspection only.
 func (s *Stack) PeekLen() int { return len(s.o.PeekState().(stackState).items) }
 
+// Reset empties the stack for a pooled rerun (sim.System.OnReset hooks).
+// Must not be called mid-run.
+func (s *Stack) Reset() { s.o.Reset() }
+
 // MultiCounter is a wait-free shared counter spanning P processors,
 // built on Fig. 7 consensus over C-consensus objects.
 type MultiCounter struct{ o *MultiObject }
@@ -189,3 +238,7 @@ func (ct *MultiCounter) Inc(c *sim.Ctx) mem.Word { return ct.Add(c, 1) }
 
 // Peek returns the current value. Post-run inspection only.
 func (ct *MultiCounter) Peek() mem.Word { return ct.o.PeekState().(mem.Word) }
+
+// Reset restores the initial value for a pooled rerun (sim.System.OnReset
+// hooks). Must not be called mid-run.
+func (ct *MultiCounter) Reset() { ct.o.Reset() }

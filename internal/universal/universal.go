@@ -38,12 +38,14 @@ type Apply func(state any, op mem.Word) (newState any, ret mem.Word)
 type decider interface {
 	decide(c *sim.Ctx, proposal mem.Word) mem.Word
 	peek() mem.Word
+	reset()
 }
 
 type uniSlot struct{ o *unicons.Object }
 
 func (s uniSlot) decide(c *sim.Ctx, p mem.Word) mem.Word { return s.o.Decide(c, p) }
 func (s uniSlot) peek() mem.Word                         { return s.o.Peek() }
+func (s uniSlot) reset()                                 { s.o.Reset() }
 
 type multiSlot struct {
 	a       *multicons.Algorithm
@@ -67,6 +69,11 @@ func (s multiSlot) peek() mem.Word {
 	return s.decided.Load()
 }
 
+func (s multiSlot) reset() {
+	s.a.Reset()
+	s.decided.Reset()
+}
+
 // core is the shared chain logic: slot k's consensus decides the k-th
 // operation as a packed (proposer, op) word; state is reconstructed by
 // deterministic replay with memoization.
@@ -79,7 +86,7 @@ type core struct {
 	vals   []*mem.Reg // vals[k] ≠ ⊥ once slot k's decision is published
 	states []any      // memoized state after k ops (derived data)
 	rets   []mem.Word // memoized return of op k (derived data)
-	last   map[int]int
+	last   []int      // per-process newest decided slot, by process id
 }
 
 func newCore(name string, initial any, apply Apply, newSlot func(i int) decider) *core {
@@ -91,8 +98,23 @@ func newCore(name string, initial any, apply Apply, newSlot func(i int) decider)
 		vals:    []*mem.Reg{mem.NewRegInit(name+".val[0]", 0)},
 		states:  []any{initial},
 		rets:    []mem.Word{0},
-		last:    make(map[int]int),
 	}
+}
+
+// reset rewinds the chain to its initial state for a pooled rerun,
+// keeping the grown slots: a reset slot is indistinguishable from one
+// not yet grown, so names, ids and footprints are those of a fresh
+// build.
+func (u *core) reset() {
+	for _, s := range u.slots[1:] {
+		s.reset()
+	}
+	mem.ResetRegs(u.vals)
+	clear(u.states[1:])
+	for k := 1; k < len(u.rets); k++ {
+		u.rets[k] = mem.Bottom
+	}
+	clear(u.last)
 }
 
 const maxOp = 1<<32 - 1
@@ -140,7 +162,10 @@ func (u *core) memoUpTo(c *sim.Ctx, k int) {
 
 // findLatest walks to the newest published slot.
 func (u *core) findLatest(c *sim.Ctx) int {
-	j := u.last[c.ID()]
+	j := 0
+	if c.ID() < len(u.last) {
+		j = u.last[c.ID()]
+	}
 	//repro:bound n slots published past this process's last position come from concurrent deciders, at most one per process (Theorem 4's argument)
 	for {
 		u.ensure(j + 1)
@@ -163,6 +188,9 @@ func (u *core) invoke(c *sim.Ctx, op mem.Word) mem.Word {
 		j := u.findLatest(c)
 		d := u.slots[j+1].decide(c, packProp(c.ID(), op))
 		c.Write(u.vals[j+1], d) // helper write: identical word from all writers
+		if n := c.ID() + 1 - len(u.last); n > 0 {
+			u.last = append(u.last, make([]int, n)...)
+		}
 		u.last[c.ID()] = j + 1
 		u.memoUpTo(c, j+1)
 		if prop, _ := unpackProp(d); prop == c.ID() {
@@ -201,6 +229,10 @@ func New(name string, initial any, apply Apply) *Object {
 
 // Invoke applies op and returns its result.
 func (o *Object) Invoke(c *sim.Ctx, op mem.Word) mem.Word { return o.u.invoke(c, op) }
+
+// Reset restores the initial state for a pooled rerun (sim.System.OnReset
+// hooks), keeping the grown chain. Must not be called mid-run.
+func (o *Object) Reset() { o.u.reset() }
 
 // PeekState returns the current state. Post-run inspection only.
 func (o *Object) PeekState() any { return o.u.peekState() }
@@ -243,6 +275,11 @@ func NewMulti(cfg multicons.Config, initial any, apply Apply) *MultiObject {
 
 // Invoke applies op and returns its result.
 func (o *MultiObject) Invoke(c *sim.Ctx, op mem.Word) mem.Word { return o.u.invoke(c, op) }
+
+// Reset restores the initial state for a pooled rerun (sim.System.OnReset
+// hooks), keeping the grown chain and its Fig. 7 instances. Must not be
+// called mid-run.
+func (o *MultiObject) Reset() { o.u.reset() }
 
 // PeekState returns the current state. Post-run inspection only.
 func (o *MultiObject) PeekState() any { return o.u.peekState() }

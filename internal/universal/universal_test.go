@@ -135,6 +135,46 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestQueueMixedConservation fuzzes processes that each both enqueue and
+// dequeue, at the minimum quantum: processes preempted inside a chain
+// replay resume and apply operations another process has already
+// replayed past. Every run must complete and conserve items.
+func TestQueueMixedConservation(t *testing.T) {
+	build := func(ch sim.Chooser) (*sim.System, check.Verify) {
+		sys := sim.New(sim.Config{Processors: 1, Quantum: unicons.MinQuantum, Chooser: ch, MaxSteps: 1 << 20})
+		q := universal.NewQueue("q")
+		enqs, deqs := 0, 0
+		for i := 0; i < 6; i++ {
+			i := i
+			p := sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1 + i%2})
+			for k := 0; k < 3; k++ {
+				enq := (i+k)%2 == 0
+				p.AddInvocation(func(c *sim.Ctx) {
+					if enq {
+						q.Enq(c, mem.Word(i))
+						enqs++
+					} else if q.Deq(c) != universal.QueueEmpty {
+						deqs++
+					}
+				})
+			}
+		}
+		verify := func(runErr error) error {
+			if runErr != nil {
+				return fmt.Errorf("run failed: %w", runErr)
+			}
+			if deqs+q.PeekLen() != enqs {
+				return fmt.Errorf("items not conserved: %d dequeued + %d left != %d enqueued", deqs, q.PeekLen(), enqs)
+			}
+			return nil
+		}
+		return sys, verify
+	}
+	if res := check.Fuzz(build, 300, check.Options{}); !res.OK() {
+		t.Fatalf("violation: %+v", res.First())
+	}
+}
+
 // TestQueueDeqEmpty checks the empty-queue return.
 func TestQueueDeqEmpty(t *testing.T) {
 	sys := sim.New(sim.Config{Processors: 1, Quantum: 32})
