@@ -13,9 +13,10 @@
 //     preemption per invocation").
 //   - Fuzz: many seeded pseudo-random schedules.
 //
-// Each run is built fresh by a Builder, executed, and then verified by
-// the Verify function the builder returned; violations are collected
-// with a replayable description of the offending schedule.
+// Each run executes a system from a Builder (built fresh, or pooled and
+// reset; see Per-run cost below) and is then verified by the Verify
+// function the builder returned; violations are collected with a
+// replayable description of the offending schedule.
 //
 // # Parallel exploration
 //
@@ -37,7 +38,8 @@
 // (one with sim.System.OnReset hooks — every registered artifact
 // workload); the steady-state replay loop then performs no heap
 // allocation. Builders without reset hooks fall back to one fresh
-// build per run.
+// build per run. Explorers close every system they build: a fresh one
+// once its run is judged, a pooled one when its worker exits.
 //
 // Builder reentrancy contract: because the Builder is called
 // concurrently by the workers, it must be reentrant — every shared
@@ -212,8 +214,10 @@ type Options struct {
 	ExportFrontier bool
 	// SeedFrontier, if non-nil, starts the exploration from a previously
 	// exported frontier's subtrees instead of the root. The frontier
-	// must come from the same explorer over the same builder (the
-	// explorers check Frontier.Explorer). ReductionNone only.
+	// must come from the same explorer over the same builder, and the
+	// exploration must use ReductionNone: the tree explorers panic on a
+	// foreign Frontier.Explorer or on a seed under any reduction. Fuzz
+	// ignores it.
 	SeedFrontier *Frontier
 	// SchedModel selects the scheduler model Fuzz draws schedules from
 	// (nil = the historical seeded sched.Random). Each seed's chooser

@@ -202,13 +202,16 @@ func (e *wsEngine[T]) steal(w int) *T {
 // exactly. Otherwise each of parallelism workers owns a deque and
 // steals when dry. newWorker is called once per worker and returns
 // that worker's process function, which owns all pooled per-worker
-// state (system runner, choosers, scratch buffers); process must push
-// an item's children before returning. export, if non-nil, receives
-// every item left unprocessed when the exploration stops early (the
+// state (system runner, choosers, scratch buffers), and its done
+// step, run when the worker exits; process must push an item's
+// children before returning. export, if non-nil, receives every item
+// left unprocessed when the exploration stops early (the
 // frontier-checkpoint hook).
-func explore[T any](c *collector, roots []*T, parallelism int, export func(*T), newWorker func() func(item *T, push func(*T))) {
+func explore[T any](c *collector, roots []*T, parallelism int, export func(*T),
+	newWorker func() (process func(item *T, push func(*T)), done func())) {
 	if parallelism <= 1 {
-		process := newWorker()
+		process, done := newWorker()
+		defer done()
 		// Reversed so the first root is popped (and explored) first,
 		// preserving canonical order across a resume.
 		stack := make([]*T, 0, len(roots))
@@ -245,7 +248,9 @@ func explore[T any](c *collector, roots []*T, parallelism int, export func(*T), 
 		//repro:allow goroutine sanctioned explorer worker pool; the collector merges results in canonical schedule order
 		go func(w int) {
 			defer wg.Done()
-			e.worker(w, newWorker())
+			process, done := newWorker()
+			defer done()
+			e.worker(w, process)
 		}(w)
 	}
 	wg.Wait()

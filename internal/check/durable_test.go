@@ -164,33 +164,60 @@ func TestFrontierCompleteRunExportsNothing(t *testing.T) {
 }
 
 // TestFrontierSeedWrongExplorer: feeding a budget frontier to
-// ExploreAll is a programming error and panics loudly instead of
-// silently misreading the items.
+// ExploreAll, or any frontier to a reduced exploration, is a
+// programming error and panics loudly instead of silently misreading
+// the items or re-exploring from the root.
 func TestFrontierSeedWrongExplorer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on explorer mismatch")
-		}
-	}()
-	check.ExploreAll(twoProcBuilder(1, 1), check.Options{
-		SeedFrontier: &check.Frontier{Explorer: "budget"},
-	})
+	build := twoProcBuilder(1, 1)
+	for _, tc := range []struct {
+		name string
+		run  func() *check.Result
+	}{
+		{"budget-frontier-to-ExploreAll", func() *check.Result {
+			return check.ExploreAll(build, check.Options{SeedFrontier: &check.Frontier{Explorer: "budget"}})
+		}},
+		{"ExploreAll-full", func() *check.Result {
+			return check.ExploreAll(build, check.Options{Reduction: check.ReductionFull,
+				SeedFrontier: &check.Frontier{Explorer: "all", Items: []check.FrontierItem{{Prefix: []int{1}}}}})
+		}},
+		{"ExploreBudget-fingerprint", func() *check.Result {
+			return check.ExploreBudget(build, 1, check.Options{Reduction: check.ReductionFingerprint,
+				SeedFrontier: &check.Frontier{Explorer: "budget", Items: []check.FrontierItem{{Budget: 1}}}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("expected panic on a seed the explorer cannot consume")
+				}
+				if !strings.Contains(fmt.Sprint(r), "SeedFrontier") {
+					t.Fatalf("panicked for another reason: %v", r)
+				}
+			}()
+			tc.run()
+		})
+	}
 }
 
 // TestRunDeadlineSkipsStuckRuns: under an immediately-expired deadline
 // every run is cut off, retried once, then counted in TimedOutRuns —
-// the exploration returns instead of hanging.
+// the exploration returns instead of hanging — on every tree explorer.
 func TestRunDeadlineSkipsStuckRuns(t *testing.T) {
 	// 2×200 statements at quantum 1: hundreds of decisions per run, so
 	// the watchdog's default check interval is crossed many times.
 	build := twoProcBuilder(200, 1)
-	res := check.ExploreAll(build, check.Options{Parallelism: 1, RunDeadline: time.Nanosecond})
-	if res.TimedOutRuns != 1 || res.Schedules != 1 {
-		t.Fatalf("TimedOutRuns=%d Schedules=%d, want 1/1 (root run times out, subtree skipped)",
-			res.TimedOutRuns, res.Schedules)
-	}
-	if !res.OK() {
-		t.Fatalf("timed-out run recorded a violation: %+v", res.First())
+	for _, tc := range treeExplorers {
+		t.Run(tc.name, func(t *testing.T) {
+			res := tc.run(build, 2, check.Options{Parallelism: 1, RunDeadline: time.Nanosecond})
+			if res.TimedOutRuns != 1 || res.Schedules != 1 {
+				t.Fatalf("TimedOutRuns=%d Schedules=%d, want 1/1 (root run times out, subtree skipped)",
+					res.TimedOutRuns, res.Schedules)
+			}
+			if !res.OK() {
+				t.Fatalf("timed-out run recorded a violation: %+v", res.First())
+			}
+		})
 	}
 }
 

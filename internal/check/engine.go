@@ -35,6 +35,24 @@ func keyLess(a, b schedKey) bool {
 	return len(a) < len(b)
 }
 
+// prefixKey is the schedule key of an ExploreAll decision-vector prefix.
+func prefixKey(prefix []int) schedKey {
+	key := make(schedKey, len(prefix))
+	for i, d := range prefix {
+		key[i] = int64(d)
+	}
+	return key
+}
+
+// switchKey is the schedule key of an ExploreBudget switch word.
+func switchKey(switches []switchPoint) schedKey {
+	key := make(schedKey, 0, 2*len(switches))
+	for _, sw := range switches {
+		key = append(key, sw.d, int64(sw.choice))
+	}
+	return key
+}
+
 type keyedViolation struct {
 	key schedKey
 	v   Violation
@@ -145,16 +163,16 @@ func (c *collector) release() {
 }
 
 // reductionStats assembles the ReductionStats for a finished reduced
-// exploration (cache may be nil for sleep-set-only mode).
-func (c *collector) reductionStats(mode Reduction, cache *fpCache) *ReductionStats {
+// exploration (c.cache is nil without fingerprint pruning).
+func (c *collector) reductionStats(mode Reduction) *ReductionStats {
 	rs := &ReductionStats{
 		Mode:                  mode.String(),
 		SleepDeadlockRuns:     int(c.redSleepPruned.Load()),
 		SleepSkippedBranches:  c.redSleepSkipped.Load(),
 		FingerprintPrunedRuns: int(c.redFPPruned.Load()),
 	}
-	if cache != nil {
-		rs.CacheHits, rs.CacheEvictions, rs.CacheEntries = cache.stats()
+	if c.cache != nil {
+		rs.CacheHits, rs.CacheEvictions, rs.CacheEntries = c.cache.stats()
 	}
 	return rs
 }
@@ -356,11 +374,15 @@ func (s *chooserSlot) CrashesArmed() bool {
 // exactly like a fresh build (TestPooledMatchesFresh). Builders that
 // register no reset hooks keep the historical build-per-run behaviour
 // — and its build-count semantics, on which alias detection for
-// non-reentrant builders relies.
+// non-reentrant builders relies. Every system a runner builds is
+// closed: a fresh one as soon as attempt has judged its run (a run
+// that stopped early leaves its process coroutines parked), the pooled
+// one by close when the worker exits.
 type runner struct {
 	build  Builder
 	slot   chooserSlot
-	sys    *sim.System
+	sys    *sim.System // the pooled system
+	fresh  *sim.System // the last build-per-run system, until attempt closes it
 	verify Verify
 	probed bool
 	pooled bool
@@ -375,26 +397,209 @@ func (r *runner) run(ch sim.Chooser) (*sim.System, Verify, error) {
 		r.sys.Reset()
 		return r.sys, r.verify, r.sys.Run()
 	}
+	var sys *sim.System
+	var verify Verify
 	if !r.probed {
 		r.probed = true
 		r.slot.set(ch)
-		sys, verify := r.build(&r.slot)
+		sys, verify = r.build(&r.slot)
 		if sys.Reusable() {
 			r.pooled, r.sys, r.verify = true, sys, verify
+			return sys, verify, sys.Run()
 		}
-		return sys, verify, sys.Run()
+	} else {
+		sys, verify = r.build(ch)
 	}
-	sys, verify := r.build(ch)
+	r.fresh = sys
 	return sys, verify, sys.Run()
 }
 
-// invalidate discards the pooled system after a panic left it in an
-// unknown state; the next run re-probes from a fresh build.
-func (r *runner) invalidate() {
+// close discards the pooled system: after a panic left it in an
+// unknown state (the next run re-probes from a fresh build), and when
+// the worker exits.
+func (r *runner) close() {
 	if r.sys != nil {
 		r.sys.Close()
 	}
 	r.probed, r.pooled, r.sys, r.verify = false, false, nil, nil
+}
+
+// attempt executes one schedule under the per-run protocol's retry
+// rule, shared by every explorer. reset rewinds the schedule's chooser
+// for each try, and the run goes through the watchdog; a run that times
+// out is retried once from scratch. judge sees each run that finished
+// within its deadline and returns its violation (nil for a clean run).
+// A panic in the builder, the run or judge becomes the violation and
+// discards the pooled system. timedOut reports a schedule that timed
+// out on both tries.
+func (r *runner) attempt(dog *watchdog, reset func() sim.Chooser, judge func(*sim.System, Verify, error) error,
+	describe func() string) (verr error, panicked, timedOut bool) {
+	for try := 0; ; try++ {
+		ch := dog.arm(reset())
+		verr, panicked = protectedRun(describe, func() error {
+			sys, verify, runErr := r.run(ch)
+			if dog.fired() {
+				return nil // timed out; handled below
+			}
+			return judge(sys, verify, runErr)
+		})
+		if r.fresh != nil {
+			r.fresh.Close()
+			r.fresh = nil
+		}
+		if panicked {
+			r.close()
+			return verr, true, false
+		}
+		if !dog.fired() {
+			return verr, false, false
+		}
+		if try > 0 {
+			return nil, false, true
+		}
+	}
+}
+
+// treeHooks is what a tree explorer supplies to the shared treeWorker:
+// the parts of one schedule's run that depend on the explorer's work
+// item and chooser. The worker owns the per-run protocol; each hooks
+// value owns one worker's chooser.
+type treeHooks[T any] interface {
+	// reset rewinds the chooser to replay item's schedule.
+	reset(item *T) sim.Chooser
+	// aliased reports whether the last run replayed a schedule other
+	// than item's: a scripted decision was clamped or never reached,
+	// which only a builder that is not a deterministic function of the
+	// decision sequence can cause.
+	aliased(item *T) bool
+	// key and describe name item's schedule: its canonical merge key
+	// and its replayable Violation.Schedule text.
+	key(item *T) schedKey
+	describe(item *T) string
+	// taken is the decision vector of the last run.
+	taken(item *T) []int
+	// pruned returns the collector tally of the reduction that cut the
+	// last run short, or nil when the run completed.
+	pruned() *atomic.Int64
+	// children pushes the subtrees below item left uncovered by the
+	// last run, in descending canonical order: pops come LIFO off the
+	// bottom of the frontier, so the lexicographically smallest subtree
+	// is popped first and a single worker reproduces the sequential
+	// enumeration order exactly.
+	children(item *T, push func(*T))
+}
+
+// treeWorker is one tree-explorer worker: the system runner, the
+// watchdog and the explorer's hooks, all reused across every schedule
+// the worker executes.
+type treeWorker[T any] struct {
+	c      *collector
+	r      *runner
+	dog    *watchdog
+	export func(*T)
+	h      treeHooks[T]
+}
+
+// process executes the schedule at the root of item's subtree and
+// pushes the subtree's children. The per-run protocol: claim a
+// MaxSchedules slot (or export the item), run it under attempt, then
+// count a timed-out run, unclaim an aliased one, record a violation,
+// release and tally a pruned run or count a complete one, and descend.
+func (w *treeWorker[T]) process(item *T, push func(*T)) {
+	c, h := w.c, w.h
+	if !c.claim() {
+		// The subtree was never entered; with ExportFrontier it moves to
+		// the frontier instead of being dropped.
+		if w.export != nil {
+			w.export(item)
+		}
+		return
+	}
+	describe := func() string { return h.describe(item) }
+	verr, panicked, timedOut := w.r.attempt(w.dog,
+		func() sim.Chooser { return h.reset(item) },
+		func(sys *sim.System, verify Verify, runErr error) error {
+			if errors.Is(runErr, sim.ErrPickAbort) || h.aliased(item) {
+				return nil // pruned or aliased: not an outcome (see below)
+			}
+			return c.outcome(sys, verify, runErr)
+		}, describe)
+	if timedOut {
+		// Skip the schedule (and its subtree) rather than hang; the run
+		// still occupies its MaxSchedules slot.
+		c.timedOut.Add(1)
+		c.count()
+		return
+	}
+	if !panicked && h.aliased(item) {
+		// Skip an aliased replay rather than double-count it, and do not
+		// descend into the aliased subtree. A pruned run cannot look
+		// aliased: pruning fires only past the scripted decisions.
+		c.unclaim()
+		return
+	}
+	if verr != nil {
+		var dec []int
+		if !panicked {
+			dec = canonDecisions(h.taken(item))
+		}
+		c.violation(h.key(item), describe(), verr, dec)
+	}
+	if tally := h.pruned(); tally != nil && !panicked {
+		// A pruned run is a covered partial replay, not a schedule: free
+		// its MaxSchedules slot, tally it, and still descend into the
+		// children of the decisions it did complete.
+		c.release()
+		tally.Add(1)
+	} else {
+		c.count()
+	}
+	// After a panic the chooser's record is unreliable, so the subtree
+	// below this schedule is not descended into; the violation records
+	// the abandoned schedule. When exporting a frontier, a stop must not
+	// drop this run's children: they are pushed anyway, and the
+	// worker's drain pass moves them to the frontier.
+	if panicked || (c.stopped() && w.export == nil) {
+		return
+	}
+	h.children(item, push)
+}
+
+// exploreTree runs one tree exploration from roots (the root subtree,
+// or a seeded frontier's subtrees) over opts.Parallelism treeWorkers,
+// each with its own hooks from newHooks. It validates SeedFrontier
+// against explorer, sets up the fingerprint cache for
+// Options.Reduction, exports unexplored items through exportItem under
+// Options.ExportFrontier, and assembles the Result. Reduced
+// explorations neither seed nor export a frontier: they prune against
+// cross-run state (sleep sets, the fingerprint cache) that a frontier
+// cannot carry.
+func exploreTree[T any](build Builder, opts Options, explorer string, budget int, roots []*T,
+	exportItem func(*collector, *T), newHooks func(*collector) treeHooks[T]) *Result {
+	checkSeed(opts, explorer)
+	c := newCollector(opts)
+	if opts.Reduction.fingerprints() {
+		c.cache = newFPCache(opts.reductionCache())
+		c.cache.noLock = opts.parallelism() == 1
+	}
+	var export func(*T)
+	if opts.ExportFrontier && opts.Reduction == ReductionNone {
+		export = func(item *T) { exportItem(c, item) }
+	}
+	explore(c, roots, opts.parallelism(), export, func() (func(*T, func(*T)), func()) {
+		w := &treeWorker[T]{c: c, r: newRunner(build), dog: newWatchdog(opts), export: export, h: newHooks(c)}
+		return w.process, w.r.close
+	})
+	res := c.result()
+	if opts.Reduction != ReductionNone {
+		res.Reduction = c.reductionStats(opts.Reduction)
+	}
+	if export != nil {
+		if f := c.frontierResult(explorer, budget); !f.Empty() {
+			res.Frontier = f
+		}
+	}
+	return res
 }
 
 // prefixItem identifies one plain-ExploreAll subtree: the schedule at
@@ -409,134 +614,61 @@ type prefixItem struct {
 // opts.Parallelism workers.
 func ExploreAll(build Builder, opts Options) *Result {
 	if opts.Reduction != ReductionNone {
-		return exploreAllReduced(build, opts)
-	}
-	checkSeed(opts.SeedFrontier, "all")
-	c := newCollector(opts)
-	var export func(*prefixItem)
-	if opts.ExportFrontier {
-		export = c.exportAll
-	}
-	explore(c, seedItemsAll(opts.SeedFrontier), opts.parallelism(), export,
-		func() func(*prefixItem, func(*prefixItem)) {
-			w := &allWorker{c: c, r: newRunner(build), script: &sched.Script{},
-				dog: newWatchdog(opts), export: export}
-			return w.process
+		return exploreTree(build, opts, "all", 0, []*redItem{{}}, nil, func(c *collector) treeHooks[redItem] {
+			h := &redHooks{c: c, ch: sched.Reduced{SleepSets: opts.Reduction.sleepSets(), Budget: unboundedBudget}}
+			if c.cache != nil {
+				h.ch.Prune = c.cache.pruneFunc()
+			}
+			return h
 		})
-	res := c.result()
-	if opts.ExportFrontier {
-		if f := c.frontierResult("all", 0); !f.Empty() {
-			res.Frontier = f
-		}
 	}
-	return res
+	return exploreTree(build, opts, "all", 0, seedItemsAll(opts.SeedFrontier), (*collector).exportAll,
+		func(*collector) treeHooks[prefixItem] { return &allHooks{} })
 }
 
-// allWorker is one plain-ExploreAll worker's pooled state: the system
-// runner, the replay script, and a scratch decision buffer, all reused
-// across every schedule the worker executes.
-type allWorker struct {
-	c      *collector
-	r      *runner
-	script *sched.Script
-	dog    *watchdog
-	export func(*prefixItem)
-	taken  []int
+// allHooks drives plain ExploreAll with a replay Script: no snapshot
+// arena, no sleep sets, no cache. The schedule at the root of an item
+// is its prefix followed by implicit zeros, and its children are every
+// single-point deviation at or after len(prefix). Together with the
+// root run those exactly cover the subtree, so each schedule is
+// executed once.
+type allHooks struct {
+	script sched.Script
 }
 
-// process executes the schedule at the root of the subtree identified
-// by item.prefix (prefix followed by implicit zeros) and pushes the
-// subtree's immediate sub-subtrees: every single-point deviation at or
-// after len(prefix). Together with this run those exactly cover the
-// subtree, so each schedule is executed once.
-func (w *allWorker) process(item *prefixItem, push func(*prefixItem)) {
-	c := w.c
-	if !c.claim() {
-		// The subtree was never entered; with ExportFrontier it moves to
-		// the frontier instead of being dropped.
-		if w.export != nil {
-			w.export(item)
-		}
-		return
-	}
-	prefix := item.prefix
-	script := w.script
-	describe := func() string { return fmt.Sprintf("decisions=%v", prefix) }
-	var verr error
-	var panicked bool
-	for attempt := 0; ; attempt++ {
-		script.Reset(prefix)
-		ch := w.dog.arm(script)
-		verr, panicked = protectedRun(describe, func() error {
-			sys, verify, runErr := w.r.run(ch)
-			if w.dog.fired() {
-				return nil // timed out; handled below
-			}
-			if script.Clamped || len(script.Fanouts) < len(prefix) {
-				return nil // aliased; detected below from the script state
-			}
-			return c.outcome(sys, verify, runErr)
-		})
-		if !panicked && w.dog.fired() && attempt == 0 {
-			continue // retry a timed-out run once
-		}
-		break
-	}
-	if panicked {
-		w.r.invalidate()
-	}
-	if !panicked && w.dog.fired() {
-		// Timed out twice: skip the schedule (and its subtree) rather
-		// than hang; the run still occupies its MaxSchedules slot.
-		c.timedOut.Add(1)
-		c.count()
-		return
-	}
-	if !panicked && (script.Clamped || len(script.Fanouts) < len(prefix)) {
-		// The replay aliased a different decision vector (possible only
-		// for builders that are not deterministic functions of the
-		// decision sequence): skip it rather than double-count, and do
-		// not descend into the aliased subtree.
-		c.unclaim()
-		return
-	}
-	if verr != nil {
-		key := make(schedKey, len(prefix))
-		for i, d := range prefix {
-			key[i] = int64(d)
-		}
-		var dec []int
-		if !panicked {
-			dec = canonDecisions(prefix)
-		}
-		c.violation(key, describe(), verr, dec)
-	}
-	c.count()
-	// After a panic the script's fan-out record is unreliable, so the
-	// subtree below this schedule is not descended into; the violation
-	// records the abandoned prefix. When exporting a frontier, a stop
-	// must not drop this run's children: they are pushed anyway, and the
-	// worker's drain pass moves them to the frontier.
-	if panicked || (c.stopped() && w.export == nil) {
-		return
-	}
-	taken := append(w.taken[:0], prefix...)
-	for len(taken) < len(script.Fanouts) {
-		taken = append(taken, 0)
-	}
-	w.taken = taken
-	// Children in descending canonical order: pops come LIFO off the
-	// bottom of the frontier, so the lexicographically smallest subtree
-	// is popped first and a single worker reproduces the sequential
-	// enumeration order exactly. Children are slab-allocated — exact
-	// capacities sized by a counting pass, so the fill appends never
-	// reallocate, item pointers and prefix subslices stay stable, and
-	// the whole frontier of one schedule costs two heap objects. The
-	// three-index subslicing keeps each child's prefix detached from
-	// its neighbors' (appends force a copy).
+func (h *allHooks) reset(item *prefixItem) sim.Chooser {
+	h.script.Reset(item.prefix)
+	return &h.script
+}
+
+func (h *allHooks) aliased(item *prefixItem) bool {
+	return h.script.Clamped || len(h.script.Fanouts) < len(item.prefix)
+}
+
+func (h *allHooks) key(item *prefixItem) schedKey { return prefixKey(item.prefix) }
+
+func (h *allHooks) describe(item *prefixItem) string {
+	return fmt.Sprintf("decisions=%v", item.prefix)
+}
+
+// taken is the prefix itself: an unaliased run replays it exactly and
+// then picks candidate 0, which canonDecisions trims.
+func (h *allHooks) taken(item *prefixItem) []int { return item.prefix }
+
+func (h *allHooks) pruned() *atomic.Int64 { return nil }
+
+// children are slab-allocated — exact capacities sized by a counting
+// pass, so the fill never reallocates, item pointers and prefix
+// subslices stay stable, and the whole frontier of one schedule costs
+// two heap objects. A child's prefix is item's prefix, zeros up to the
+// deviation point (the slab is freshly zeroed memory), then the
+// deviating choice; the three-index subslicing keeps it detached from
+// its neighbors' (appends force a copy).
+func (h *allHooks) children(item *prefixItem, push func(*prefixItem)) {
+	prefix, fanouts := item.prefix, h.script.Fanouts
 	children, prefixInts := 0, 0
-	for i := len(prefix); i < len(taken); i++ {
-		if n := script.Fanouts[i] - 1; n > 0 {
+	for i := len(prefix); i < len(fanouts); i++ {
+		if n := fanouts[i] - 1; n > 0 {
 			children += n
 			prefixInts += n * (i + 1)
 		}
@@ -546,11 +678,12 @@ func (w *allWorker) process(item *prefixItem, push func(*prefixItem)) {
 	}
 	items := make([]prefixItem, 0, children)
 	prefixSlab := make([]int, 0, prefixInts)
-	for i := len(prefix); i < len(taken); i++ {
-		for choice := script.Fanouts[i] - 1; choice >= 1; choice-- {
+	for i := len(prefix); i < len(fanouts); i++ {
+		for choice := fanouts[i] - 1; choice >= 1; choice-- {
 			ps := len(prefixSlab)
-			prefixSlab = append(prefixSlab, taken[:i]...)
-			prefixSlab = append(prefixSlab, choice)
+			prefixSlab = prefixSlab[:ps+i+1]
+			copy(prefixSlab[ps:], prefix)
+			prefixSlab[ps+i] = choice
 			items = append(items, prefixItem{prefix: prefixSlab[ps:len(prefixSlab):len(prefixSlab)]})
 			push(&items[len(items)-1])
 		}
@@ -581,142 +714,64 @@ type budgetItem struct {
 // placed in increasing order, so every ≤budget-deviation schedule is
 // covered exactly once.
 func ExploreBudget(build Builder, budget int, opts Options) *Result {
-	checkSeed(opts.SeedFrontier, "budget")
-	c := newCollector(opts)
-	var cache *fpCache
-	if opts.Reduction.fingerprints() {
-		cache = newFPCache(opts.reductionCache())
-		cache.noLock = opts.parallelism() == 1
-		c.cache = cache
-	}
-	var export func(*budgetItem)
-	if opts.ExportFrontier && opts.Reduction == ReductionNone {
-		export = c.exportBudget
-	}
-	explore(c, seedItemsBudget(opts.SeedFrontier, budget), opts.parallelism(), export,
-		func() func(*budgetItem, func(*budgetItem)) {
-			w := &budgetWorker{c: c, r: newRunner(build), ch: &sched.BudgetedSwitch{},
-				dog: newWatchdog(opts), export: export}
-			if cache != nil {
+	return exploreTree(build, opts, "budget", budget, seedItemsBudget(opts.SeedFrontier, budget), (*collector).exportBudget,
+		func(c *collector) treeHooks[budgetItem] {
+			h := &budgetHooks{c: c}
+			if c.cache != nil {
 				// The chooser consults the cache only past the last directed
 				// switch, where the run is a pure default continuation from a
 				// state the fingerprint fully identifies (plus the chooser's
 				// current-process steering, folded in via PruneInfo.Extra).
-				w.ch.Prune = cache.pruneFunc()
+				h.ch.Prune = c.cache.pruneFunc()
 			}
-			return w.process
+			return h
 		})
-	res := c.result()
-	if opts.Reduction != ReductionNone {
-		res.Reduction = c.reductionStats(opts.Reduction, cache)
-	}
-	if export != nil {
-		if f := c.frontierResult("budget", budget); !f.Empty() {
-			res.Frontier = f
-		}
-	}
-	return res
 }
 
-// budgetWorker is one ExploreBudget worker's pooled state.
-type budgetWorker struct {
-	c      *collector
-	r      *runner
-	ch     *sched.BudgetedSwitch
-	dog    *watchdog
-	export func(*budgetItem)
+// budgetHooks drives ExploreBudget with a BudgetedSwitch chooser.
+type budgetHooks struct {
+	c  *collector
+	ch sched.BudgetedSwitch
 }
 
-func (w *budgetWorker) process(item *budgetItem, push func(*budgetItem)) {
-	c := w.c
-	if !c.claim() {
-		if w.export != nil {
-			w.export(item)
-		}
+func (h *budgetHooks) reset(item *budgetItem) sim.Chooser {
+	h.ch.Reset(item.budget)
+	for _, sw := range item.switches {
+		h.ch.SwitchAt[sw.d] = sw.choice
+	}
+	return &h.ch
+}
+
+// aliased: a clamped switch, or a last switch the run never reached.
+func (h *budgetHooks) aliased(item *budgetItem) bool {
+	return h.ch.Clamped || (len(item.switches) > 0 && item.switches[len(item.switches)-1].d >= h.ch.Decision)
+}
+
+func (h *budgetHooks) key(item *budgetItem) schedKey { return switchKey(item.switches) }
+
+func (h *budgetHooks) describe(*budgetItem) string {
+	return fmt.Sprintf("switches=%v", h.ch.SwitchAt)
+}
+
+func (h *budgetHooks) taken(*budgetItem) []int { return h.ch.Taken }
+
+func (h *budgetHooks) pruned() *atomic.Int64 {
+	if h.ch.Pruned {
+		return &h.c.redFPPruned
+	}
+	return nil
+}
+
+// children places one more deviation at every decision at or after
+// item.minIndex with a recorded choice — for a pruned run that excludes
+// the abort decision, whose deviations the cached visitor covers.
+func (h *budgetHooks) children(item *budgetItem, push func(*budgetItem)) {
+	if item.budget == 0 {
 		return
 	}
-	ch := w.ch
-	describe := func() string { return fmt.Sprintf("switches=%v", ch.SwitchAt) }
-	aliased := func() bool {
-		return ch.Clamped || (len(item.switches) > 0 && item.switches[len(item.switches)-1].d >= ch.Decision)
-	}
-	var verr error
-	var panicked bool
-	for attempt := 0; ; attempt++ {
-		ch.Reset(item.budget)
-		for _, sw := range item.switches {
-			ch.SwitchAt[sw.d] = sw.choice
-		}
-		wch := w.dog.arm(ch)
-		verr, panicked = protectedRun(describe, func() error {
-			sys, verify, runErr := w.r.run(wch)
-			if w.dog.fired() {
-				return nil // timed out; handled below
-			}
-			if errors.Is(runErr, sim.ErrPickAbort) {
-				return nil // pruned, not an outcome
-			}
-			if aliased() {
-				return nil
-			}
-			return c.outcome(sys, verify, runErr)
-		})
-		if !panicked && w.dog.fired() && attempt == 0 {
-			continue // retry a timed-out run once
-		}
-		break
-	}
-	if panicked {
-		w.r.invalidate()
-	}
-	if !panicked && w.dog.fired() {
-		c.timedOut.Add(1)
-		c.count()
-		return
-	}
-	if !panicked && aliased() {
-		// A clamped or never-reached switch means the replay aliased a
-		// schedule with a different switch word (non-reentrant builder);
-		// skip it rather than double-count (see allWorker.process). A
-		// pruned run cannot look aliased: pruning fires only past the
-		// last directed switch, so every switch was reached.
-		c.unclaim()
-		return
-	}
-	if verr != nil {
-		key := make(schedKey, 0, 2*len(item.switches))
-		for _, sw := range item.switches {
-			key = append(key, sw.d, int64(sw.choice))
-		}
-		var dec []int
-		if !panicked {
-			dec = canonDecisions(ch.Taken)
-		}
-		c.violation(key, describe(), verr, dec)
-	}
-	if ch.Pruned && !panicked {
-		// A pruned run is a covered partial replay, not a schedule (see
-		// redWorker.process); its completed decisions still seed
-		// children below, and deviations at or after the prune point are
-		// covered by the cached visitor.
-		c.release()
-		c.redFPPruned.Add(1)
-	} else {
-		c.count()
-	}
-	// See allWorker.process: no descent below a panicked schedule; a
-	// stop with ExportFrontier still pushes children so the drain pass
-	// moves them to the frontier.
-	if panicked || item.budget == 0 || (c.stopped() && w.export == nil) {
-		return
-	}
-	taken := ch.Taken
-	// Children in descending canonical order (see allWorker.process).
-	// The loop runs over decisions with a recorded choice — for a pruned
-	// run that excludes the abort decision, whose deviations the cached
-	// visitor covers.
+	taken := h.ch.Taken
 	for d := int64(len(taken)) - 1; d >= item.minIndex; d-- {
-		for choice := ch.Fanouts[d] - 1; choice >= 0; choice-- {
+		for choice := h.ch.Fanouts[d] - 1; choice >= 0; choice-- {
 			if choice == taken[d] {
 				continue
 			}
@@ -753,6 +808,7 @@ func Fuzz(build Builder, nSeeds int, opts Options) *Result {
 		go func() {
 			defer wg.Done()
 			r := newRunner(build)
+			defer r.close()
 			dog := newWatchdog(opts)
 			var rec *sched.Record
 			if c.opts.needDecisions() {
@@ -778,20 +834,25 @@ func Fuzz(build Builder, nSeeds int, opts Options) *Result {
 				}
 			}
 			chooserFor := func(seed int64) sim.Chooser {
+				var ch sim.Chooser
 				switch {
 				case rng != nil:
 					rng.Reseed(seed)
-					return rng
+					ch = rng
 				case fast != nil:
 					fast.Reseed(sched.RunSeed(spec.Seed, seed))
-					return fast
+					ch = fast
 				default:
-					ch, err := sched.NewFromSpec(spec.WithRunSeed(seed))
-					if err != nil {
+					var err error
+					if ch, err = sched.NewFromSpec(spec.WithRunSeed(seed)); err != nil {
 						panic(err) // unreachable: spec validated at entry
 					}
-					return ch
 				}
+				if rec != nil {
+					rec.Reset(ch)
+					ch = rec
+				}
+				return ch
 			}
 			for {
 				if c.stopped() {
@@ -801,36 +862,17 @@ func Fuzz(build Builder, nSeeds int, opts Options) *Result {
 				if seed >= n {
 					return
 				}
-				var verr error
-				var panicked bool
 				describe := func() string { return fmt.Sprintf("seed=%d", seed) }
-				for attempt := 0; ; attempt++ {
-					var ch sim.Chooser = chooserFor(seed)
-					if rec != nil {
-						rec.Reset(ch)
-						ch = rec
-					}
-					ch = dog.arm(ch)
-					verr, panicked = protectedRun(describe, func() error {
-						sys, verify, runErr := r.run(ch)
-						if dog.fired() {
-							return nil // timed out; handled below
-						}
+				verr, panicked, timedOut := r.attempt(dog,
+					func() sim.Chooser { return chooserFor(seed) },
+					func(sys *sim.System, verify Verify, runErr error) error {
 						out := c.outcome(sys, verify, runErr)
 						if acc != nil {
 							acc.observe(sys)
 						}
 						return out
-					})
-					if !panicked && dog.fired() && attempt == 0 {
-						continue // retry a timed-out run once
-					}
-					break
-				}
-				if panicked {
-					r.invalidate()
-				}
-				if !panicked && dog.fired() {
+					}, describe)
+				if timedOut {
 					c.timedOut.Add(1)
 					c.count()
 					continue

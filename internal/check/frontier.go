@@ -50,7 +50,7 @@ type FrontierItem struct {
 // ExploreAll and ExploreBudget explorers: reduced explorations carry
 // cross-run pruning state (sleep sets, the fingerprint cache) that a
 // frontier snapshot cannot soundly capture, so the reduced paths ignore
-// both options.
+// ExportFrontier and panic on a SeedFrontier.
 type Frontier struct {
 	// Explorer identifies the explorer the frontier belongs to:
 	// "all" (ExploreAll) or "budget" (ExploreBudget).
@@ -81,22 +81,16 @@ type keyedFrontier struct {
 // exportAll records one unexplored ExploreAll subtree.
 func (c *collector) exportAll(item *prefixItem) {
 	prefix := append([]int(nil), item.prefix...)
-	key := make(schedKey, len(prefix))
-	for i, d := range prefix {
-		key[i] = int64(d)
-	}
-	c.exportItem(keyedFrontier{key: key, item: FrontierItem{Prefix: prefix}})
+	c.exportItem(keyedFrontier{key: prefixKey(prefix), item: FrontierItem{Prefix: prefix}})
 }
 
 // exportBudget records one unexplored ExploreBudget subtree.
 func (c *collector) exportBudget(item *budgetItem) {
 	fi := FrontierItem{Budget: item.budget, MinIndex: item.minIndex}
-	key := make(schedKey, 0, 2*len(item.switches))
 	for _, sw := range item.switches {
 		fi.Switches = append(fi.Switches, SwitchRec{Decision: sw.d, Choice: sw.choice})
-		key = append(key, sw.d, int64(sw.choice))
 	}
-	c.exportItem(keyedFrontier{key: key, item: fi})
+	c.exportItem(keyedFrontier{key: switchKey(item.switches), item: fi})
 }
 
 func (c *collector) exportItem(kf keyedFrontier) {
@@ -119,10 +113,15 @@ func (c *collector) frontierResult(explorer string, budget int) *Frontier {
 
 // checkSeed validates that a seeded frontier was exported by the
 // explorer now consuming it (a frontier's items only make sense to the
-// explorer whose subtree shape they encode).
-func checkSeed(f *Frontier, explorer string) {
+// explorer whose subtree shape they encode) and that the exploration is
+// unreduced (a frontier cannot carry the pruning state it would need).
+func checkSeed(opts Options, explorer string) {
+	f := opts.SeedFrontier
 	if f != nil && f.Explorer != "" && f.Explorer != explorer {
 		panic(fmt.Sprintf("check: SeedFrontier exported by the %q explorer fed to %q", f.Explorer, explorer))
+	}
+	if f != nil && opts.Reduction != ReductionNone {
+		panic(fmt.Sprintf("check: SeedFrontier fed to %q under Reduction %s (frontiers are ReductionNone only)", explorer, opts.Reduction))
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/baseline"
 	"repro/internal/check"
 	"repro/internal/mem"
@@ -42,25 +44,112 @@ func panickyBuilder(ch sim.Chooser) (*sim.System, check.Verify) {
 	}
 }
 
+// treeExplorers are the four tree-explorer configurations whose shared
+// per-run protocol the table tests below pin: plain and reduced
+// ExploreAll, plain and fingerprint-pruned ExploreBudget. budget is
+// ignored by the ExploreAll configurations.
+var treeExplorers = []struct {
+	name   string
+	prefix string // Violation.Schedule prefix
+	run    func(build check.Builder, budget int, opts check.Options) *check.Result
+}{
+	{"ExploreAll", "decisions=", func(build check.Builder, _ int, opts check.Options) *check.Result {
+		return check.ExploreAll(build, opts)
+	}},
+	{"ExploreAll-full", "decisions=", func(build check.Builder, _ int, opts check.Options) *check.Result {
+		opts.Reduction = check.ReductionFull
+		return check.ExploreAll(build, opts)
+	}},
+	{"ExploreBudget", "switches=", func(build check.Builder, budget int, opts check.Options) *check.Result {
+		return check.ExploreBudget(build, budget, opts)
+	}},
+	{"ExploreBudget-fingerprint", "switches=", func(build check.Builder, budget int, opts check.Options) *check.Result {
+		opts.Reduction = check.ReductionFingerprint
+		return check.ExploreBudget(build, budget, opts)
+	}},
+}
+
 // TestPanicContainment: a panicking verifier on some schedules must be
-// recorded as a replayable violation — with the decision vector intact —
-// while every other schedule's result survives.
+// recorded as a replayable violation — with the schedule intact — while
+// every other schedule's result survives, on every tree explorer.
 func TestPanicContainment(t *testing.T) {
-	res := check.ExploreAll(panickyBuilder, check.Options{Parallelism: 4, MaxSchedules: 100000})
-	if res.ViolationsTotal == 0 {
-		t.Fatal("panicking schedules recorded no violations")
+	for _, tc := range treeExplorers {
+		t.Run(tc.name, func(t *testing.T) {
+			res := tc.run(panickyBuilder, 2, check.Options{Parallelism: 4, MaxSchedules: 100000})
+			if res.ViolationsTotal == 0 {
+				t.Fatal("panicking schedules recorded no violations")
+			}
+			if res.Schedules <= res.ViolationsTotal {
+				t.Fatalf("only panicking schedules counted: %d schedules, %d violations",
+					res.Schedules, res.ViolationsTotal)
+			}
+			first := res.First()
+			if !strings.HasPrefix(first.Schedule, tc.prefix) {
+				t.Fatalf("violation lost its schedule: %q", first.Schedule)
+			}
+			if !strings.Contains(first.Err.Error(), "panic on schedule "+tc.prefix) ||
+				!strings.Contains(first.Err.Error(), "verifier exploded") {
+				t.Fatalf("panic not converted to a replayable violation: %v", first.Err)
+			}
+		})
 	}
-	if res.Schedules <= res.ViolationsTotal {
-		t.Fatalf("only panicking schedules counted: %d schedules, %d violations",
-			res.Schedules, res.ViolationsTotal)
+}
+
+// TestExplorersReleaseSystems: every explorer closes every system it
+// builds — a worker's pooled system when the worker exits, and a fresh
+// system once its run is judged, even when the run stopped early with
+// process coroutines parked — so explorations leave no goroutines
+// behind.
+func TestExplorersReleaseSystems(t *testing.T) {
+	pooled, err := check.BuilderFor(artifact.Meta{Workload: "unicons", N: 3, V: 1, Quantum: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := res.First()
-	if !strings.HasPrefix(first.Schedule, "decisions=") {
-		t.Fatalf("violation lost its decision vector: %q", first.Schedule)
+	stepLimited := func(ch sim.Chooser) (*sim.System, check.Verify) {
+		sys := sim.New(sim.Config{Processors: 1, Quantum: 1, Chooser: ch, MaxSteps: 3})
+		for i := 0; i < 2; i++ {
+			sys.AddProcess(sim.ProcSpec{Processor: 0, Priority: 1}).
+				AddInvocation(func(c *sim.Ctx) { c.Local(4) })
+		}
+		return sys, func(runErr error) error { return runErr }
 	}
-	if !strings.Contains(first.Err.Error(), "panic on schedule decisions=") ||
-		!strings.Contains(first.Err.Error(), "verifier exploded") {
-		t.Fatalf("panic not converted to a replayable violation: %v", first.Err)
+	type explorer struct {
+		name string
+		run  func(check.Builder, check.Options) *check.Result
+	}
+	explorers := []explorer{{"Fuzz", func(build check.Builder, opts check.Options) *check.Result {
+		return check.Fuzz(build, 50, opts)
+	}}}
+	for _, tc := range treeExplorers {
+		explorers = append(explorers, explorer{tc.name, func(build check.Builder, opts check.Options) *check.Result {
+			return tc.run(build, 2, opts)
+		}})
+	}
+	for _, b := range []struct {
+		name  string
+		build check.Builder
+	}{{"pooled", pooled}, {"step-limited", stepLimited}} {
+		for _, e := range explorers {
+			t.Run(b.name+"/"+e.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				for i := 0; i < 3; i++ {
+					res := e.run(b.build, check.Options{Parallelism: 2, MaxSchedules: 50})
+					if res.Schedules == 0 {
+						t.Fatal("explored no schedules")
+					}
+				}
+				// Exited workers may still be winding down; leaked
+				// coroutines never do.
+				after := runtime.NumGoroutine()
+				for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+					after = runtime.NumGoroutine()
+				}
+				if after > before {
+					t.Fatalf("3 explorations left %d goroutines behind", after-before)
+				}
+			})
+		}
 	}
 }
 

@@ -336,35 +336,31 @@ func flakyFanoutBuilder() check.Builder {
 	}
 }
 
-// TestExploreAllSkipsClampedAliases: the 3-process first run yields the
-// decision tree {[], [1], [2], [0 1]}, but the 2-process replays only
-// have fan-out 2 at the single decision point: [2] clamps onto [1], and
-// [0 1] never consumes its second decision. Both alias already-counted
-// schedules; only the root and [1] are genuine.
-func TestExploreAllSkipsClampedAliases(t *testing.T) {
-	res := check.ExploreAll(flakyFanoutBuilder(), check.Options{Parallelism: 1})
-	if res.Schedules != 2 {
-		t.Fatalf("schedules = %d, want 2 (aliased replays double-counted)", res.Schedules)
-	}
-	if res.Aliased != 2 {
-		t.Fatalf("aliased = %d, want 2", res.Aliased)
-	}
-	if !res.OK() {
-		t.Fatalf("unexpected violation: %+v", res.First())
-	}
-}
-
-// TestExploreBudgetSkipsClampedAliases is the BudgetedSwitch analogue:
-// the first (3-process) run seeds deviations {d0→1, d0→2, d1→1}; on the
-// 2-process replays d0→2 clamps and d1→1 is never reached, so both are
-// aliases of counted schedules.
-func TestExploreBudgetSkipsClampedAliases(t *testing.T) {
-	res := check.ExploreBudget(flakyFanoutBuilder(), 1, check.Options{Parallelism: 1})
-	if res.Schedules != 2 {
-		t.Fatalf("schedules = %d, want 2 (aliased replays double-counted)", res.Schedules)
-	}
-	if res.Aliased != 2 {
-		t.Fatalf("aliased = %d, want 2", res.Aliased)
+// TestTreeExplorersSkipClampedAliases: every tree explorer skips
+// aliased replays instead of counting them. For ExploreAll the
+// 3-process first run yields the decision tree {[], [1], [2], [0 1]},
+// but the 2-process replays only have fan-out 2 at the single decision
+// point: [2] clamps onto [1], and [0 1] never consumes its second
+// decision. For ExploreBudget the first run seeds deviations {d0→1,
+// d0→2, d1→1}; on the 2-process replays d0→2 clamps and d1→1 is never
+// reached. Either way two replays alias already-counted schedules, and
+// only two schedules are genuine. The reductions prune nothing here:
+// on one processor under a non-zero quantum no two candidates are
+// independent, and no state repeats.
+func TestTreeExplorersSkipClampedAliases(t *testing.T) {
+	for _, tc := range treeExplorers {
+		t.Run(tc.name, func(t *testing.T) {
+			res := tc.run(flakyFanoutBuilder(), 1, check.Options{Parallelism: 1})
+			if res.Schedules != 2 {
+				t.Fatalf("schedules = %d, want 2 (aliased replays double-counted)", res.Schedules)
+			}
+			if res.Aliased != 2 {
+				t.Fatalf("aliased = %d, want 2", res.Aliased)
+			}
+			if !res.OK() {
+				t.Fatalf("unexpected violation: %+v", res.First())
+			}
+		})
 	}
 }
 

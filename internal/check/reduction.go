@@ -1,10 +1,10 @@
 package check
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/sched"
@@ -363,135 +363,69 @@ type redItem struct {
 	sleep  []sched.SleepEntry
 }
 
-// exploreAllReduced is ExploreAll with reductions active. The schedule
-// tree is partitioned into decision-prefix subtrees exactly as in the
-// plain explorer; reductions only remove work: asleep branches are never
-// spawned, all-asleep and revisited-state runs abort early, and an
-// aborted run still seeds its children for the decisions it completed.
-func exploreAllReduced(build Builder, opts Options) *Result {
-	c := newCollector(opts)
-	var cache *fpCache
-	if opts.Reduction.fingerprints() {
-		cache = newFPCache(opts.reductionCache())
-		cache.noLock = opts.parallelism() == 1
-		c.cache = cache
-	}
-	explore(c, []*redItem{{}}, opts.parallelism(), nil, func() func(*redItem, func(*redItem)) {
-		w := &redWorker{
-			c:    c,
-			r:    newRunner(build),
-			ch:   &sched.Reduced{SleepSets: opts.Reduction.sleepSets(), Budget: unboundedBudget},
-			mode: opts.Reduction,
-			dog:  newWatchdog(opts),
-		}
-		if cache != nil {
-			w.ch.Prune = cache.pruneFunc()
-		}
-		return w.process
-	})
-	res := c.result()
-	res.Reduction = c.reductionStats(opts.Reduction, cache)
-	return res
+// redHooks drives reduced ExploreAll with the footprint-aware Reduced
+// chooser, whose snapshot arenas are reused across every schedule the
+// worker executes. The schedule tree is partitioned into
+// decision-prefix subtrees exactly as in the plain explorer; reductions
+// only remove work: asleep branches are never spawned, all-asleep and
+// revisited-state runs abort early, and an aborted run still seeds its
+// children for the decisions it completed.
+type redHooks struct {
+	c  *collector
+	ch sched.Reduced
 }
 
-// redWorker is one reduced-ExploreAll worker's pooled state: the system
-// runner and the reduced chooser (whose snapshot arenas are reused
-// across every schedule the worker executes).
-type redWorker struct {
-	c    *collector
-	r    *runner
-	ch   *sched.Reduced
-	mode Reduction
-	dog  *watchdog
+func (h *redHooks) reset(item *redItem) sim.Chooser {
+	h.ch.Reset(item.prefix, item.sleep)
+	return &h.ch
 }
 
-func (w *redWorker) process(item *redItem, push func(*redItem)) {
-	c := w.c
-	if !c.claim() {
-		return
+func (h *redHooks) aliased(item *redItem) bool {
+	return h.ch.Clamped || len(h.ch.Fanouts) < len(item.prefix)
+}
+
+func (h *redHooks) key(item *redItem) schedKey { return prefixKey(item.prefix) }
+
+func (h *redHooks) describe(item *redItem) string {
+	return fmt.Sprintf("decisions=%v", item.prefix)
+}
+
+func (h *redHooks) taken(*redItem) []int { return h.ch.Taken }
+
+func (h *redHooks) pruned() *atomic.Int64 {
+	switch {
+	case h.ch.Pruned:
+		return &h.c.redFPPruned
+	case h.ch.SleepDeadlock:
+		return &h.c.redSleepPruned
 	}
-	ch := w.ch
-	describe := func() string { return fmt.Sprintf("decisions=%v", item.prefix) }
-	var verr error
-	var panicked bool
-	for attempt := 0; ; attempt++ {
-		ch.Reset(item.prefix, item.sleep)
-		wch := w.dog.arm(ch)
-		verr, panicked = protectedRun(describe, func() error {
-			sys, verify, runErr := w.r.run(wch)
-			if w.dog.fired() {
-				return nil // timed out; handled below
-			}
-			if errors.Is(runErr, sim.ErrPickAbort) {
-				return nil // pruned, not an outcome
-			}
-			if ch.Clamped || len(ch.Fanouts) < len(item.prefix) {
-				return nil // aliased; detected below from the chooser state
-			}
-			return c.outcome(sys, verify, runErr)
-		})
-		if !panicked && w.dog.fired() && attempt == 0 {
-			continue // retry a timed-out run once
-		}
-		break
-	}
-	if panicked {
-		w.r.invalidate()
-	}
-	if !panicked && w.dog.fired() {
-		c.timedOut.Add(1)
-		c.count()
-		return
-	}
-	pruned := ch.Pruned || ch.SleepDeadlock
-	if !panicked && (ch.Clamped || len(ch.Fanouts) < len(item.prefix)) {
-		c.unclaim()
-		return
-	}
-	if verr != nil {
-		key := make(schedKey, len(item.prefix))
-		for i, d := range item.prefix {
-			key[i] = int64(d)
-		}
-		var dec []int
-		if !panicked {
-			dec = canonDecisions(ch.Taken)
-		}
-		c.violation(key, describe(), verr, dec)
-	}
-	if pruned && !panicked {
-		// A pruned run is a covered partial replay, not a schedule: free
-		// its MaxSchedules slot, tally it, and still descend into the
-		// children of the decisions it did complete.
-		c.release()
-		if ch.Pruned {
-			c.redFPPruned.Add(1)
-		} else {
-			c.redSleepPruned.Add(1)
-		}
-	} else {
-		c.count()
-	}
-	if c.stopped() || panicked {
-		return
-	}
+	return nil
+}
+
+func (h *redHooks) children(item *redItem, push func(*redItem)) {
+	ch := &h.ch
 	base := len(item.prefix)
 	// Children are slab-allocated: one counting pass sizes three exact
-	// backing arrays (items, prefixes, sleep sets), then the fill pass
+	// backing arrays (items, prefixes, sleep sets) and tallies the asleep
+	// branches it never spawns, then the fill pass
 	// carves three-index subslices out of them. Exact capacities mean
 	// the fill appends never reallocate, so &items[k] pointers and slab
 	// subslices stay stable, and a schedule's whole frontier costs three
 	// heap objects instead of three per child.
-	children, prefixInts, sleepEnts := 0, 0, 0
+	children, prefixInts, sleepEnts, asleep := 0, 0, 0, int64(0)
 	for i := base; i < len(ch.Taken); i++ {
 		snap := ch.Snaps[i-base]
 		for j := range snap.Cands {
-			if j == snap.Taken || snap.Cands[j].Asleep {
+			if j == snap.Taken {
+				continue
+			}
+			if snap.Cands[j].Asleep {
+				asleep++
 				continue
 			}
 			children++
 			prefixInts += i + 1
-			if w.mode.sleepSets() {
+			if ch.SleepSets {
 				sleepEnts += len(snap.Sleep)
 				for m := 0; m < j; m++ {
 					if cm := snap.Cands[m]; !cm.Asleep && cm.FpKnown {
@@ -501,16 +435,10 @@ func (w *redWorker) process(item *redItem, push func(*redItem)) {
 			}
 		}
 	}
+	if asleep > 0 {
+		h.c.redSleepSkipped.Add(asleep)
+	}
 	if children == 0 {
-		// Still tally the asleep branches the loop below would have.
-		for i := base; i < len(ch.Taken); i++ {
-			snap := ch.Snaps[i-base]
-			for j := range snap.Cands {
-				if j != snap.Taken && snap.Cands[j].Asleep {
-					c.redSleepSkipped.Add(1)
-				}
-			}
-		}
 		return
 	}
 	items := make([]redItem, 0, children)
@@ -519,18 +447,14 @@ func (w *redWorker) process(item *redItem, push func(*redItem)) {
 	for i := base; i < len(ch.Taken); i++ {
 		snap := ch.Snaps[i-base]
 		for j := len(snap.Cands) - 1; j >= 0; j-- {
-			if j == snap.Taken {
-				continue
-			}
-			if snap.Cands[j].Asleep {
-				c.redSleepSkipped.Add(1)
+			if j == snap.Taken || snap.Cands[j].Asleep {
 				continue
 			}
 			ps := len(prefixSlab)
 			prefixSlab = append(prefixSlab, ch.Taken[:i]...)
 			prefixSlab = append(prefixSlab, j)
 			var childSleep []sched.SleepEntry
-			if w.mode.sleepSets() {
+			if ch.SleepSets {
 				// The child wakes after its earlier siblings: it inherits
 				// this decision's live sleep set plus every awake sibling
 				// explored before it (the taken branch and awake branches
