@@ -3,10 +3,15 @@
 //
 // Usage:
 //
-//	hybridsim -alg fig3 -n 8 -v 3 -q 8 -sched random:7
+//	hybridsim -alg fig3 -n 8 -v 3 -q 8 -sched random:seed=7
 //	hybridsim -alg fig5 -n 6 -v 4 -ops 3 -q 32 -sched rotate
-//	hybridsim -alg fig7 -p 3 -k 1 -m 2 -v 2 -q 2048 -sched random:1
+//	hybridsim -alg fig7 -p 3 -k 1 -m 2 -v 2 -q 2048 -sched random:seed=1
 //	hybridsim -alg fig9 -p 2 -k 0 -m 4 -v 2 -q 8 -sched rotate
+//	hybridsim -alg fig3 -n 4 -v 1 -q 8 -sched stagger:period=8,phase=2
+//
+// -sched takes the scheduler-model grammar of cmd/checker -sched-model
+// (sched.ParseModelSpec); "script" with no decisions always picks the
+// first runnable candidate.
 package main
 
 import (
@@ -34,7 +39,7 @@ func run() error {
 		v        = flag.Int("v", 1, "priority levels")
 		ops      = flag.Int("ops", 2, "operations per process (fig5)")
 		q        = flag.Int("q", 8, "scheduling quantum (statements)")
-		schedStr = flag.String("sched", "random:1", "scheduler: first|rtc|rotate|random:<seed>|stagger:<period>:<phase>")
+		schedStr = flag.String("sched", "random:seed=1", "scheduler model (sched.ParseModelSpec grammar), e.g. script, rtc, rotate, random:seed=7, stagger:period=8,phase=2")
 		showTr   = flag.Bool("trace", false, "render the interleaving timeline")
 	)
 	flag.Parse()

@@ -140,10 +140,10 @@ func soakArtifact(path string) (string, error) {
 }
 
 func describe(b *artifact.Bundle) string {
-	if b.Sched.Random {
-		return fmt.Sprintf("random schedule seed %d, %d planned crashes", b.Sched.Seed, len(b.Meta.Crashes))
+	if dec, ok := b.Script(); ok {
+		return fmt.Sprintf("%d decisions, %d planned crashes", len(dec), len(b.Meta.Crashes))
 	}
-	return fmt.Sprintf("%d decisions, %d planned crashes", len(b.Sched.Decisions), len(b.Meta.Crashes))
+	return fmt.Sprintf("schedule %s, %d planned crashes", b.Spec(), len(b.Meta.Crashes))
 }
 
 func fatal(err error) {

@@ -1,7 +1,7 @@
 // Package artifact implements counterexample repro bundles: versioned,
 // JSON-serializable records of everything needed to deterministically
 // replay a violating run — workload identity and configuration, the
-// schedule (an explicit decision vector, or a seeded random strategy),
+// schedule (an explicit decision vector, a seed, or a scheduler model),
 // crash plan, wait-freedom bound, the verifier's error text, and a
 // rendered timeline. Bundles are the currency of the forensics pipeline:
 // the exploration engine (internal/check) attaches them to violations,
@@ -16,12 +16,12 @@
 // contract therefore is: for a fixed Meta, the workload builder must be
 // a deterministic function of the decision sequence.
 //
-// Bundles come in two schedule modes. Script mode (Sched.Random false)
-// replays an explicit decision vector and an explicit crash plan — the
-// canonical, shrinkable form. Random mode (Sched.Random true) re-derives
-// the schedule and crash pattern from seeds, matching how fuzzers and
-// cmd/soak found the failure; Normalize converts it to script mode by
-// replaying once with recording wrappers.
+// A bundle's schedule is stored in one of three modes — script (an
+// explicit decision vector and crash plan, the canonical shrinkable
+// form), seeded random, or a registered scheduler model — and
+// Bundle.Spec maps every mode onto the one sched.ModelSpec that Replay
+// builds its chooser from. Normalize converts any other bundle to
+// script mode by replaying once with a recording wrapper.
 package artifact
 
 import (
@@ -82,14 +82,13 @@ type Meta struct {
 // Sched describes how the replay resolves scheduling nondeterminism.
 // Mode precedence: a non-nil Model selects model mode (version 2);
 // otherwise Random selects seeded-random mode; otherwise the bundle is
-// in script mode.
+// in script mode. Bundle.Spec maps each mode onto a scheduler-model
+// spec.
 type Sched struct {
 	// Model, if non-nil, replays through a registered scheduler model
 	// (sched.NewFromSpec). A nonzero Seed overrides the spec's own
 	// seed, so campaign runs can share one spec and store only their
-	// derived per-run seed. Random-mode crash injection
-	// (CrashSeed/MaxCrashes/CrashProb) composes with model mode
-	// unchanged.
+	// derived per-run seed.
 	Model *sched.ModelSpec `json:"model,omitempty"`
 	// Random selects seeded-random mode; otherwise the bundle is in
 	// script mode and Decisions is replayed through sched.Script.
@@ -100,11 +99,69 @@ type Sched struct {
 	// Seed seeds the random-mode chooser (and overrides the model's
 	// seed in model mode).
 	Seed int64 `json:"seed,omitempty"`
-	// CrashSeed/MaxCrashes/CrashProb configure random-mode crash
-	// injection (sched.RandomCrash); MaxCrashes 0 disables it.
+	// CrashSeed/MaxCrashes/CrashProb configure seeded crash injection
+	// around the schedule of any mode (the randomcrash model);
+	// MaxCrashes 0 disables it.
 	CrashSeed  int64   `json:"crash_seed,omitempty"`
 	MaxCrashes int     `json:"max_crashes,omitempty"`
 	CrashProb  float64 `json:"crash_prob,omitempty"`
+}
+
+// Spec maps the bundle's schedule onto the one scheduler-model spec
+// that replays it, the only form Replay builds a chooser from:
+//
+//	model mode   Sched.Model, a nonzero Sched.Seed overriding its seed
+//	random mode  random{Seed}
+//	script mode  script{Decisions}
+//
+// Nonzero MaxCrashes wraps the result in randomcrash{CrashSeed,
+// MaxCrashes, CrashProb}, and a non-empty Meta.Crashes puts
+// crash{Meta.Crashes} outermost.
+func (b *Bundle) Spec() *sched.ModelSpec {
+	s := b.Sched
+	var spec *sched.ModelSpec
+	switch {
+	case s.Model != nil:
+		spec = s.Model
+		if s.Seed != 0 {
+			spec = spec.Clone()
+			spec.Seed = s.Seed
+		}
+	case s.Random:
+		spec = &sched.ModelSpec{Name: "random", Seed: s.Seed}
+	default:
+		spec = &sched.ModelSpec{Name: "script", Decisions: s.Decisions}
+	}
+	if s.MaxCrashes > 0 {
+		spec = &sched.ModelSpec{Name: "randomcrash", Seed: s.CrashSeed, Inner: spec,
+			Params: map[string]float64{"max": float64(s.MaxCrashes), "prob": s.CrashProb}}
+	}
+	if len(b.Meta.Crashes) > 0 {
+		spec = &sched.ModelSpec{Name: "crash", Plan: b.Meta.Crashes, Inner: spec}
+	}
+	return spec
+}
+
+// Script reports whether the bundle's schedule is already a script —
+// Spec is script{decisions} under at most the crash{Meta.Crashes}
+// wrapper — and if so returns its decision vector. Only such bundles
+// are shrinkable as they stand; any other must be normalized first.
+func (b *Bundle) Script() ([]int, bool) {
+	spec := b.Spec()
+	if len(b.Meta.Crashes) > 0 {
+		spec = spec.Inner
+	}
+	return spec.Decisions, spec.Name == "script"
+}
+
+// scriptOf returns the script chooser of a chooser built from a script
+// spec (see Script), or nil when the schedule is not a script.
+func scriptOf(ch sim.Chooser) *sched.Script {
+	if c, ok := ch.(*sched.Crash); ok {
+		ch = c.Inner
+	}
+	s, _ := ch.(*sched.Script)
+	return s
 }
 
 // Bundle is one serializable counterexample.
@@ -126,9 +183,6 @@ type Bundle struct {
 type ReplayOptions struct {
 	// Trace renders the run's timeline into Report.Trace.
 	Trace bool
-	// TraceLimit bounds the trace recorder (0 = trace.NewRecorder's
-	// default).
-	TraceLimit int
 	// Record captures the taken decision vector and fired crash points
 	// into the Report (the raw material for Normalize).
 	Record bool
@@ -177,7 +231,8 @@ func (r *Report) Failed() bool { return r.Err != nil }
 // its property from scratch. It never trusts the bundle's recorded Err:
 // the returned Report carries a freshly computed outcome. A non-nil
 // error return means the bundle itself is unusable (unknown workload,
-// bad version); property violations are reported via Report.Err.
+// bad version, invalid schedule); property violations are reported via
+// Report.Err.
 func Replay(b *Bundle, opts ReplayOptions) (*Report, error) {
 	if b.Version > Version {
 		return nil, fmt.Errorf("artifact: bundle version %d newer than supported %d", b.Version, Version)
@@ -187,34 +242,11 @@ func Replay(b *Bundle, opts ReplayOptions) (*Report, error) {
 		return nil, err
 	}
 
-	var ch sim.Chooser
-	var script *sched.Script
-	if b.Sched.Model != nil {
-		spec := b.Sched.Model
-		if b.Sched.Seed != 0 {
-			spec = spec.Clone()
-			spec.Seed = b.Sched.Seed
-		}
-		mch, err := sched.NewFromSpec(spec)
-		if err != nil {
-			return nil, fmt.Errorf("artifact: scheduler model: %w", err)
-		}
-		ch = mch
-		if b.Sched.MaxCrashes > 0 {
-			ch = sched.NewRandomCrash(ch, b.Sched.CrashSeed, b.Sched.MaxCrashes, b.Sched.CrashProb)
-		}
-	} else if b.Sched.Random {
-		ch = sched.NewRandom(b.Sched.Seed)
-		if b.Sched.MaxCrashes > 0 {
-			ch = sched.NewRandomCrash(ch, b.Sched.CrashSeed, b.Sched.MaxCrashes, b.Sched.CrashProb)
-		}
-	} else {
-		script = &sched.Script{Decisions: b.Sched.Decisions}
-		ch = script
+	ch, err := sched.NewFromSpec(b.Spec())
+	if err != nil {
+		return nil, fmt.Errorf("artifact: scheduler model: %w", err)
 	}
-	if len(b.Meta.Crashes) > 0 {
-		ch = sched.NewCrash(ch, b.Meta.Crashes...)
-	}
+	script := scriptOf(ch)
 	var rec *sched.Record
 	if opts.Record {
 		rec = sched.NewRecord(ch)
@@ -228,7 +260,7 @@ func Replay(b *Bundle, opts ReplayOptions) (*Report, error) {
 	var tr *trace.Recorder
 	var obs sim.Observer
 	if opts.Trace {
-		tr = trace.NewRecorder(opts.TraceLimit)
+		tr = trace.NewRecorder(0)
 		obs = tr
 	}
 
@@ -327,8 +359,12 @@ func Capture(meta Meta, s Sched) (*Bundle, *Report, error) {
 // replay picks candidate 0, so the run is unchanged). The normalized
 // bundle is then re-executed from scratch; if its outcome differs from
 // the recording run's, the workload broke the determinism contract and
-// Normalize reports it rather than returning a bundle that lies.
+// Normalize reports it rather than returning a bundle that lies. A
+// bundle already in script mode (see Script) is returned unchanged.
 func Normalize(b *Bundle) (*Bundle, error) {
+	if _, ok := b.Script(); ok {
+		return b, nil
+	}
 	rep, err := Replay(b, ReplayOptions{Record: true})
 	if err != nil {
 		return nil, err
@@ -404,10 +440,8 @@ func Load(path string) (*Bundle, error) {
 	if b.Meta.Workload == "" {
 		return nil, fmt.Errorf("artifact: %s: bundle names no workload", path)
 	}
-	if b.Sched.Model != nil {
-		if err := b.Sched.Model.Validate(); err != nil {
-			return nil, fmt.Errorf("artifact: %s: %w", path, err)
-		}
+	if err := b.Spec().Validate(); err != nil {
+		return nil, fmt.Errorf("artifact: %s: %w", path, err)
 	}
 	return b, nil
 }

@@ -77,54 +77,93 @@ func TestModelSeedOverride(t *testing.T) {
 	}
 }
 
-// TestModelLegacyEquivalence is the artifact leg of the
-// behavior-preservation cross-check: a legacy random-mode bundle and a
-// model-mode bundle naming the random model (same seeds, same crash
-// knobs) replay byte-identically and normalize to byte-identical
-// script bundles.
+// TestModelLegacyEquivalence pins the one mapping from a bundle's
+// schedule onto a scheduler-model spec (Bundle.Spec) over every stored
+// form: each replays to the decisions, fired crashes, steps and error
+// text recorded before Replay was routed through sched.NewFromSpec;
+// script forms still report their fan-outs without recording; and each
+// normalizes to a script bundle that replays identically. A legacy
+// random-mode bundle and a model-mode bundle naming the random model
+// (same seeds, same crash knobs) replay and normalize byte-identically.
 func TestModelLegacyEquivalence(t *testing.T) {
-	meta := modelMeta
-	legacy := &artifact.Bundle{Version: 1, Meta: meta,
-		Sched: artifact.Sched{Random: true, Seed: 5, CrashSeed: 9, MaxCrashes: 1, CrashProb: 0.05}}
-	model := &artifact.Bundle{Version: artifact.Version, Meta: meta,
-		Sched: artifact.Sched{Model: &sched.ModelSpec{Name: "random"}, Seed: 5, CrashSeed: 9, MaxCrashes: 1, CrashProb: 0.05}}
+	crashMeta := modelMeta
+	crashMeta.Crashes = []sched.CrashPoint{{Proc: 1, Step: 6}}
+	crashKnobs := func(s artifact.Sched) artifact.Sched {
+		s.CrashSeed, s.MaxCrashes, s.CrashProb = 9, 1, 0.05
+		return s
+	}
+	type outcome struct {
+		Dec     []int
+		Fired   []sched.CrashPoint
+		Steps   int64
+		Err     string
+		Fanouts int
+	}
+	legacyRandomCrash := outcome{[]int{0, 0, 1, 0, 1, 0, 0, 1, 0}, []sched.CrashPoint{{Proc: 1, Step: 0}}, 16, "agreement violated: [1 0 1]", 0}
+	cases := []struct {
+		name   string
+		meta   artifact.Meta
+		sched  artifact.Sched
+		script bool
+		want   outcome
+	}{
+		{"script", modelMeta, artifact.Sched{Decisions: []int{1, 0, 2, 1, 1}}, true,
+			outcome{[]int{1, 0, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, nil, 24, "", 14}},
+		{"script+planned crashes", crashMeta, artifact.Sched{Decisions: []int{1, 0, 2, 1, 1}}, true,
+			outcome{[]int{1, 0, 2, 1, 1, 0, 0, 0, 0, 0, 0}, []sched.CrashPoint{{Proc: 1, Step: 6}}, 20, "agreement violated: [2 0 2]", 11}},
+		{"random", modelMeta, artifact.Sched{Random: true, Seed: 5}, false,
+			outcome{[]int{0, 1, 1, 1, 0, 1, 1, 0, 1, 0, 0}, nil, 24, "", 0}},
+		{"random+crash knobs", modelMeta, crashKnobs(artifact.Sched{Random: true, Seed: 5}), false, legacyRandomCrash},
+		{"model", modelMeta, artifact.Sched{Model: &sched.ModelSpec{Name: "uniform", Seed: 5}}, false,
+			outcome{[]int{0, 0, 2, 1, 0, 1, 0, 2, 0, 0, 1, 0, 1, 0}, nil, 24, "", 0}},
+		{"model+seed override+crash knobs", modelMeta, crashKnobs(artifact.Sched{Model: &sched.ModelSpec{Name: "markov", Seed: 3}, Seed: 5}), false,
+			outcome{[]int{1, 1, 1, 0, 1, 0, 0, 1, 1}, []sched.CrashPoint{{Proc: 1, Step: 0}}, 16, "agreement violated: [3 0 3]", 0}},
+		{"model random+crash knobs", modelMeta, crashKnobs(artifact.Sched{Model: &sched.ModelSpec{Name: "random"}, Seed: 5}), false, legacyRandomCrash},
+	}
+	replay := func(t *testing.T, b *artifact.Bundle) string {
+		t.Helper()
+		rec, err := artifact.Replay(b, artifact.ReplayOptions{Record: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := artifact.Replay(b, artifact.ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := json.Marshal(outcome{rec.Decisions, rec.Fired, rec.Steps, errText(rec.Err), len(plain.Fanouts)})
+		return string(out)
+	}
+	normalized := map[string]string{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := &artifact.Bundle{Version: artifact.Version, Meta: tc.meta, Sched: tc.sched}
+			if _, ok := b.Script(); ok != tc.script {
+				t.Errorf("Script() = %v, want %v (spec %s)", ok, tc.script, b.Spec())
+			}
+			want, _ := json.Marshal(tc.want)
+			if got := replay(t, b); got != string(want) {
+				t.Fatalf("replay\n got: %s\nwant: %s", got, want)
+			}
 
-	lr, err := artifact.Replay(legacy, artifact.ReplayOptions{Record: true})
-	if err != nil {
-		t.Fatal(err)
+			nb, err := artifact.Normalize(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := nb.Script(); !ok {
+				t.Fatalf("normalized bundle is not a script: %s", nb.Spec())
+			}
+			// A script chooser sees every decision point.
+			tc.want.Fanouts = len(tc.want.Dec)
+			want, _ = json.Marshal(tc.want)
+			if got := replay(t, nb); got != string(want) {
+				t.Fatalf("normalized replay\n got: %s\nwant: %s", got, want)
+			}
+			n, _ := json.Marshal(nb)
+			normalized[tc.name] = string(n)
+		})
 	}
-	mr, err := artifact.Replay(model, artifact.ReplayOptions{Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(struct {
-		Dec   []int
-		Fired []sched.CrashPoint
-		Steps int64
-		Err   string
-	}{lr.Decisions, lr.Fired, lr.Steps, errText(lr.Err)})
-	b, _ := json.Marshal(struct {
-		Dec   []int
-		Fired []sched.CrashPoint
-		Steps int64
-		Err   string
-	}{mr.Decisions, mr.Fired, mr.Steps, errText(mr.Err)})
-	if string(a) != string(b) {
-		t.Errorf("legacy and model replays differ\n legacy: %s\n model:  %s", a, b)
-	}
-
-	ln, err := artifact.Normalize(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mn, err := artifact.Normalize(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	la, _ := json.Marshal(ln)
-	ma, _ := json.Marshal(mn)
-	if string(la) != string(ma) {
-		t.Errorf("normalized bundles differ\n legacy: %s\n model:  %s", la, ma)
+	if a, b := normalized["random+crash knobs"], normalized["model random+crash knobs"]; a != b {
+		t.Errorf("normalized bundles differ\n legacy: %s\n model:  %s", a, b)
 	}
 }
 

@@ -219,20 +219,3 @@ func RenderScaling(title, xlabel string, pts []ScalingPoint) string {
 	}
 	return b.String()
 }
-
-// ProbeQuantum runs the adversarial battery once for a single (K, Q)
-// point and returns the first violation found, or nil. The fuzz sweep
-// runs on the parallel explorer with the default worker count.
-func ProbeQuantum(p, k, m, v, q, seeds int) error {
-	cfg := multicons.Config{Name: "probe", P: p, K: k, M: m, V: v}
-	build := fig7Builder(cfg, q)
-	sys, verify := build(sched.NewRotate())
-	if err := verify(sys.Run()); err != nil {
-		return err
-	}
-	res := check.Fuzz(build, seeds, check.Options{StopAtFirst: true})
-	if !res.OK() {
-		return res.First().Err
-	}
-	return nil
-}

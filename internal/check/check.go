@@ -181,9 +181,6 @@ type Options struct {
 	// ignores Reduction entirely (pruning a single random path loses
 	// coverage instead of saving it).
 	Reduction Reduction
-	// ReductionCache caps the visited-fingerprint cache (entries,
-	// 0 = 1<<20). Overflow evicts FIFO, which only forgoes pruning.
-	ReductionCache int
 	// RunDeadline, if > 0, bounds each run in wall-clock time: a run
 	// whose chooser is still being consulted past the deadline is cut
 	// off (sched.Watchdog), retried once from scratch, and — if it times
@@ -199,11 +196,8 @@ type Options struct {
 	// the fingerprint cache first (reduced modes), then halving the
 	// workers allowed to claim new work, down to one. Steps preserve
 	// verdicts (under reduction they can only increase schedule counts)
-	// and are reported via OnDegrade and Result.Degradations.
+	// and are reported in Result.Degradations.
 	MemSoftLimit uint64
-	// OnDegrade, if non-nil, is called (serialized) with a description
-	// of each degradation step MemSoftLimit triggers.
-	OnDegrade func(event string)
 	// ExportFrontier, when the exploration is cut short (Context
 	// cancellation, MaxSchedules truncation, StopAtFirst), collects
 	// every unexplored subtree into Result.Frontier instead of dropping
@@ -276,13 +270,6 @@ func (o Options) parallelism() int {
 // wrapper to capture decision vectors.
 func (o Options) needDecisions() bool {
 	return o.CollectDecisions || o.Minimize || o.ArtifactMeta != nil
-}
-
-func (o Options) reductionCache() int {
-	if o.ReductionCache <= 0 {
-		return 1 << 20
-	}
-	return o.ReductionCache
 }
 
 func (o Options) progressEvery() int64 {

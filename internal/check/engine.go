@@ -579,7 +579,7 @@ func exploreTree[T any](build Builder, opts Options, explorer string, budget int
 	checkSeed(opts, explorer)
 	c := newCollector(opts)
 	if opts.Reduction.fingerprints() {
-		c.cache = newFPCache(opts.reductionCache())
+		c.cache = newFPCache(fpCacheCap)
 		c.cache.noLock = opts.parallelism() == 1
 	}
 	var export func(*T)
@@ -819,30 +819,26 @@ func Fuzz(build Builder, nSeeds int, opts Options) *Result {
 				acc = newMeasureAcc()
 				defer func() { c.mergeMeasure(acc) }()
 			}
-			// Schedule source: the legacy seeded Random (reseeded in
-			// place per run), a Reseedable single-node model (reseeded in
-			// place with the derived run seed), or a full per-run model
-			// rebuild for wrapper and non-reseedable specs.
+			// Schedule source: one Reseedable chooser reseeded in place
+			// per run — a Random on the raw seed when no model is set, a
+			// single-node model on its derived run seed — or a full
+			// per-run rebuild for wrapper and non-reseedable specs.
 			spec := opts.SchedModel
-			var rng *sched.Random
 			var fast sched.Reseedable
+			runSeed := func(seed int64) int64 { return seed }
 			if spec == nil {
-				rng = sched.NewRandom(0)
+				fast = sched.NewRandom(0)
 			} else if spec.Inner == nil {
-				if base, err := sched.NewFromSpec(spec); err == nil {
-					fast, _ = base.(sched.Reseedable)
-				}
+				base, _ := sched.NewFromSpec(spec)
+				fast, _ = base.(sched.Reseedable)
+				runSeed = func(seed int64) int64 { return sched.RunSeed(spec.Seed, seed) }
 			}
 			chooserFor := func(seed int64) sim.Chooser {
 				var ch sim.Chooser
-				switch {
-				case rng != nil:
-					rng.Reseed(seed)
-					ch = rng
-				case fast != nil:
-					fast.Reseed(sched.RunSeed(spec.Seed, seed))
+				if fast != nil {
+					fast.Reseed(runSeed(seed))
 					ch = fast
-				default:
+				} else {
 					var err error
 					if ch, err = sched.NewFromSpec(spec.WithRunSeed(seed)); err != nil {
 						panic(err) // unreachable: spec validated at entry

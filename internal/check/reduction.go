@@ -109,8 +109,8 @@ type ReductionStats struct {
 	CacheHits int64
 	// CacheEntries is the number of cache entries live at the end.
 	CacheEntries int
-	// CacheEvictions counts FIFO evictions forced by
-	// Options.ReductionCache. Evictions only reduce pruning, never
+	// CacheEvictions counts FIFO evictions forced by the cache's
+	// fpCacheCap entry cap. Evictions only reduce pruning, never
 	// soundness.
 	CacheEvictions int64
 }
@@ -162,8 +162,12 @@ type fpCache struct {
 
 const keyChunkSize = 4096
 
+// fpCacheCap caps the visited-fingerprint cache of one exploration, in
+// entries. Overflow evicts FIFO, which only forgoes pruning.
+const fpCacheCap = 1 << 20
+
 func newFPCache(capacity int) *fpCache {
-	// The map is NOT pre-sized to capacity: the default cap is 2^20
+	// The map is NOT pre-sized to capacity: fpCacheCap is 2^20
 	// entries, and clearing that many empty buckets up front costs more
 	// than entire small explorations (it was 75% of reduced-mode CPU on
 	// the bench workload). capacity only bounds eviction; the map grows

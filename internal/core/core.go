@@ -8,8 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/hybridcas"
 	"repro/internal/mem"
@@ -20,49 +18,16 @@ import (
 	"repro/internal/unicons"
 )
 
-// ParseScheduler builds a scheduler from a spec string:
-//
-//	first            — deterministic, preemption-averse
-//	rtc              — run-to-completion
-//	rotate           — maximal legal preemption round-robin
-//	random:<seed>    — seeded pseudo-random
-//	stagger:<period>:<phase> — Theorem 3 quantum-stagger adversary
-func ParseScheduler(spec string) (sim.Chooser, error) {
-	parts := strings.Split(spec, ":")
-	switch parts[0] {
-	case "first", "":
-		return sim.FirstChooser{}, nil
-	case "rtc":
-		return &sched.RunToCompletion{}, nil
-	case "rotate":
-		return sched.NewRotate(), nil
-	case "random":
-		seed := int64(1)
-		if len(parts) > 1 {
-			s, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: bad random seed %q: %w", parts[1], err)
-			}
-			seed = s
-		}
-		return sched.NewRandom(seed), nil
-	case "stagger":
-		period, phase := 8, 0
-		var err error
-		if len(parts) > 1 {
-			if period, err = strconv.Atoi(parts[1]); err != nil {
-				return nil, fmt.Errorf("core: bad stagger period %q: %w", parts[1], err)
-			}
-		}
-		if len(parts) > 2 {
-			if phase, err = strconv.Atoi(parts[2]); err != nil {
-				return nil, fmt.Errorf("core: bad stagger phase %q: %w", parts[2], err)
-			}
-		}
-		return sched.NewStagger(period, phase), nil
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %q", spec)
+// newChooser builds the scheduler a Scheduler option names, in the
+// sched.ParseModelSpec grammar: "rtc", "rotate", "random:seed=7",
+// "stagger:period=8,phase=2", "script" (candidate 0 at every decision),
+// or any other registered model.
+func newChooser(spec string) (sim.Chooser, error) {
+	ms, err := sched.ParseModelSpec(spec)
+	if err != nil {
+		return nil, err
 	}
+	return sched.NewFromSpec(ms)
 }
 
 // ConsensusResult reports one consensus scenario run.
@@ -106,14 +71,14 @@ type UniConsensusOpts struct {
 	N         int    // processes
 	V         int    // priority levels (processes cycle through 1..V)
 	Quantum   int    // scheduling quantum
-	Scheduler string // ParseScheduler spec
+	Scheduler string // sched.ParseModelSpec spec, e.g. "random:seed=7"
 	Trace     bool   // record and render the interleaving
 }
 
 // RunUniConsensus runs the Fig. 3 uniprocessor consensus with N
 // processes proposing 1..N.
 func RunUniConsensus(opts UniConsensusOpts) (*ConsensusResult, error) {
-	ch, err := ParseScheduler(opts.Scheduler)
+	ch, err := newChooser(opts.Scheduler)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +121,7 @@ type MultiConsensusOpts struct {
 // RunMultiConsensus runs the Fig. 7 (or, with Fair, Fig. 9)
 // multiprocessor consensus with P×M processes proposing 1..P·M.
 func RunMultiConsensus(opts MultiConsensusOpts) (*ConsensusResult, error) {
-	ch, err := ParseScheduler(opts.Scheduler)
+	ch, err := newChooser(opts.Scheduler)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +182,7 @@ type CASWorkloadResult struct {
 // workload: each process performs OpsPer successful increments via CAS
 // retry loops.
 func RunCASWorkload(opts CASWorkloadOpts) (*CASWorkloadResult, error) {
-	ch, err := ParseScheduler(opts.Scheduler)
+	ch, err := newChooser(opts.Scheduler)
 	if err != nil {
 		return nil, err
 	}

@@ -7,22 +7,9 @@ import (
 	"repro/internal/core"
 )
 
-func TestParseScheduler(t *testing.T) {
-	for _, spec := range []string{"first", "", "rtc", "rotate", "random", "random:42", "stagger", "stagger:8", "stagger:8:2"} {
-		if _, err := core.ParseScheduler(spec); err != nil {
-			t.Errorf("ParseScheduler(%q): %v", spec, err)
-		}
-	}
-	for _, spec := range []string{"bogus", "random:x", "stagger:x", "stagger:8:y"} {
-		if _, err := core.ParseScheduler(spec); err == nil {
-			t.Errorf("ParseScheduler(%q) succeeded, want error", spec)
-		}
-	}
-}
-
 func TestRunUniConsensus(t *testing.T) {
 	res, err := core.RunUniConsensus(core.UniConsensusOpts{
-		N: 5, V: 2, Quantum: 8, Scheduler: "random:3", Trace: true,
+		N: 5, V: 2, Quantum: 8, Scheduler: "random:seed=3", Trace: true,
 	})
 	if err != nil {
 		t.Fatalf("RunUniConsensus: %v", err)
@@ -46,7 +33,7 @@ func TestRunUniConsensusBadScheduler(t *testing.T) {
 
 func TestRunMultiConsensusFig7(t *testing.T) {
 	res, err := core.RunMultiConsensus(core.MultiConsensusOpts{
-		P: 2, K: 1, M: 2, V: 2, Quantum: 2048, Scheduler: "random:1",
+		P: 2, K: 1, M: 2, V: 2, Quantum: 2048, Scheduler: "random:seed=1",
 	})
 	if err != nil {
 		t.Fatalf("RunMultiConsensus: %v", err)
@@ -73,7 +60,7 @@ func TestRunMultiConsensusFig9(t *testing.T) {
 
 func TestRunCASWorkload(t *testing.T) {
 	res, err := core.RunCASWorkload(core.CASWorkloadOpts{
-		N: 4, V: 2, OpsPer: 3, Quantum: 32, Scheduler: "random:5",
+		N: 4, V: 2, OpsPer: 3, Quantum: 32, Scheduler: "random:seed=5",
 	})
 	if err != nil {
 		t.Fatalf("RunCASWorkload: %v", err)

@@ -86,18 +86,16 @@ type shrinker struct {
 }
 
 // Shrink reduces a failing bundle to a minimal still-failing bundle.
-// Random-mode bundles are first normalized to script mode. The returned
+// Bundles not already in script mode are first normalized. The returned
 // bundle's Err and Trace come from a final fresh execution of the
 // minimized schedule. Shrink fails up front if the input bundle does not
 // (or no longer does) fail its property.
 func Shrink(b *artifact.Bundle, opts Options) (*artifact.Bundle, *Stats, error) {
-	if b.Sched.Random {
-		nb, err := artifact.Normalize(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		b = nb
+	b, err := artifact.Normalize(b)
+	if err != nil {
+		return nil, nil, err
 	}
+	dec, _ := b.Script()
 	if opts.Budget == 0 {
 		opts.Budget = DefaultBudget
 	}
@@ -106,7 +104,7 @@ func Shrink(b *artifact.Bundle, opts Options) (*artifact.Bundle, *Stats, error) 
 		match = func(error) bool { return true }
 	}
 
-	s := &shrinker{opts: opts, meta: b.Meta, dec: append([]int(nil), b.Sched.Decisions...)}
+	s := &shrinker{opts: opts, meta: b.Meta, dec: append([]int(nil), dec...)}
 
 	// Establish the baseline: the input must fail before we shrink it.
 	rep, ok := s.replay(s.meta, s.dec)

@@ -28,40 +28,57 @@ func findFailure(t *testing.T, meta artifact.Meta, maxSeed int64) *artifact.Bund
 	return nil
 }
 
-// TestShrinkLockCounter is the ISSUE's acceptance bar: shrinking a
-// LockCounter wait-freedom violation must converge to ≤ 12 decisions,
-// verified by replaying the minimized bundle through artifact.Replay.
+// TestShrinkLockCounter: shrinking a LockCounter wait-freedom violation
+// must converge to ≤ 12 decisions, verified by replaying the minimized
+// bundle through artifact.Replay — whether the failing bundle came from
+// a seeded-random sweep or from a scheduler-model campaign (the bundle
+// a soak -sched-model run writes).
 func TestShrinkLockCounter(t *testing.T) {
 	meta := artifact.Meta{Workload: "lockcounter", N: 2, V: 2, Quantum: 4,
 		MaxSteps: 2000, WaitFreeBound: 50}
-	b := findFailure(t, meta, 200)
+	modelMeta := meta
+	modelMeta.Quantum = 1
+	modelBundle, rep, err := artifact.Capture(modelMeta,
+		artifact.Sched{Model: &sched.ModelSpec{Name: "uniform"}, Seed: 1})
+	if err != nil || !rep.Failed() {
+		t.Fatalf("model-mode Capture: err %v, outcome %v; want a violation", err, rep.Err)
+	}
+	for _, tc := range []struct {
+		name string
+		b    *artifact.Bundle
+	}{
+		{"random", findFailure(t, meta, 200)},
+		{"model", modelBundle},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			min, stats, err := minimize.Shrink(tc.b, minimize.Options{
+				Match: func(err error) bool {
+					return strings.Contains(err.Error(), "wait-freedom violated")
+				},
+			})
+			if err != nil {
+				t.Fatalf("Shrink: %v", err)
+			}
+			t.Logf("shrink: %s", stats)
+			t.Logf("minimized decisions: %v", min.Sched.Decisions)
 
-	min, stats, err := minimize.Shrink(b, minimize.Options{
-		Match: func(err error) bool {
-			return strings.Contains(err.Error(), "wait-freedom violated")
-		},
-	})
-	if err != nil {
-		t.Fatalf("Shrink: %v", err)
-	}
-	t.Logf("shrink: %s", stats)
-	t.Logf("minimized decisions: %v", min.Sched.Decisions)
-
-	if n := len(min.Sched.Decisions); n > 12 {
-		t.Fatalf("minimized bundle has %d decisions, want ≤ 12", n)
-	}
-	rep, err := artifact.Replay(min, artifact.ReplayOptions{Trace: true})
-	if err != nil {
-		t.Fatalf("Replay(minimized): %v", err)
-	}
-	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "wait-freedom violated") {
-		t.Fatalf("minimized bundle no longer violates wait-freedom: %v", rep.Err)
-	}
-	if rep.Err.Error() != min.Err {
-		t.Fatalf("minimized bundle's recorded error is stale:\n  recorded: %s\n  replayed: %s", min.Err, rep.Err)
-	}
-	if rep.Trace == "" {
-		t.Fatal("minimized replay rendered no timeline")
+			if n := len(min.Sched.Decisions); n > 12 {
+				t.Fatalf("minimized bundle has %d decisions, want ≤ 12", n)
+			}
+			rep, err := artifact.Replay(min, artifact.ReplayOptions{Trace: true})
+			if err != nil {
+				t.Fatalf("Replay(minimized): %v", err)
+			}
+			if rep.Err == nil || !strings.Contains(rep.Err.Error(), "wait-freedom violated") {
+				t.Fatalf("minimized bundle no longer violates wait-freedom: %v", rep.Err)
+			}
+			if rep.Err.Error() != min.Err {
+				t.Fatalf("minimized bundle's recorded error is stale:\n  recorded: %s\n  replayed: %s", min.Err, rep.Err)
+			}
+			if rep.Trace == "" {
+				t.Fatal("minimized replay rendered no timeline")
+			}
+		})
 	}
 }
 

@@ -75,12 +75,6 @@ func RegisterModel(m *Model) {
 	models[m.Name] = m
 }
 
-// KnownModel reports whether name is a registered scheduler model.
-func KnownModel(name string) bool {
-	_, ok := models[name]
-	return ok
-}
-
 // Models returns the registered model names, sorted.
 func Models() []string {
 	names := make([]string, 0, len(models))
@@ -90,9 +84,6 @@ func Models() []string {
 	sort.Strings(names)
 	return names
 }
-
-// LookupModel returns the registered model, or nil.
-func LookupModel(name string) *Model { return models[name] }
 
 // Validate checks the spec (and its nested Inner chain) against the
 // registry: the model must exist, every parameter name must be known,

@@ -255,6 +255,11 @@ func TestSpecValidation(t *testing.T) {
 		`{"name":"watchdog"}`, // wrapper without inner
 		`{"name":"rtc","inner":{"name":"rotate"}}`, // inner on a non-wrapper
 		`{"name":"budgeted","decisions":[1,2,3]}`,  // odd switch-word length (caught at build)
+		// The cmd/hybridsim -sched inputs.
+		"bogus",
+		"random:seed=x",
+		"stagger:period=x",
+		"stagger:period=8,phase=y",
 	}
 	for _, s := range bad {
 		spec, err := sched.ParseModelSpec(s)
@@ -264,9 +269,19 @@ func TestSpecValidation(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range []string{"uniform", "markov:stay=0.9", "noisy:eps=0.05,seed=12"} {
-		if _, err := sched.ParseModelSpec(s); err != nil {
-			t.Errorf("ParseModelSpec(%q): %v", s, err)
+	good := []string{
+		"uniform", "markov:stay=0.9", "noisy:eps=0.05,seed=12",
+		// The cmd/hybridsim -sched inputs.
+		"script", "rtc", "rotate", "random", "random:seed=42",
+		"stagger", "stagger:period=8", "stagger:period=8,phase=2",
+	}
+	for _, s := range good {
+		spec, err := sched.ParseModelSpec(s)
+		if err == nil {
+			_, err = sched.NewFromSpec(spec)
+		}
+		if err != nil {
+			t.Errorf("ParseModelSpec+NewFromSpec(%q): %v", s, err)
 		}
 	}
 }
