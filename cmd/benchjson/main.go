@@ -140,7 +140,7 @@ func main() {
 	}
 	// The output file is a bench.History: {"latest": <this report>,
 	// "history": [...]} — the stable `latest` key is what `make
-	// bench-gate` and the server's GET /bench read, while history keeps
+	// bench-gate` reads, while history keeps
 	// the trajectory across PRs. A pre-history bare report upgrades in
 	// place on the first append.
 	prev, err := os.ReadFile(*out)

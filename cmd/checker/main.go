@@ -163,6 +163,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "checker: frontier %s: %v\n", *frontIn, err)
 			os.Exit(2)
 		}
+		if err := f.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "checker: frontier %s: %v\n", *frontIn, err)
+			os.Exit(2)
+		}
+		if f.Explorer != *mode {
+			fmt.Fprintf(os.Stderr, "checker: frontier %s was exported by -mode %s and cannot seed -mode %s\n", *frontIn, f.Explorer, *mode)
+			os.Exit(2)
+		}
 		if f.Empty() {
 			fmt.Println("frontier is empty: the exported exploration had already completed")
 			return
@@ -229,6 +237,12 @@ func main() {
 	}
 	if res.Aliased > 0 {
 		fmt.Printf("skipped %d aliased replays (non-reentrant builder?)\n", res.Aliased)
+		if opts.SeedFrontier != nil {
+			// Registered workloads replay deterministically, so an alias
+			// means the frontier was exported by another configuration.
+			fmt.Fprintf(os.Stderr, "checker: frontier %s does not fit this configuration: %d of its replays aliased other schedules\n", *frontIn, res.Aliased)
+			os.Exit(2)
+		}
 	}
 	if res.OK() {
 		fmt.Println("no violations found")

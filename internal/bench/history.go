@@ -6,12 +6,11 @@ import (
 	"fmt"
 )
 
-// History is the shared bench-trajectory file format used by both the
-// committed BENCH_explore.json (cmd/benchjson) and the server's bench
-// store (internal/store, served at GET /bench): the most recent data
-// point lives at the stable "latest" key — which is what `make
-// bench-gate` compares against — and every appended point accumulates
-// in "history", oldest first. Entries are opaque JSON objects
+// History is the bench-trajectory file format of the committed
+// BENCH_explore.json (cmd/benchjson): the most recent data point lives
+// at the stable "latest" key — which is what `make bench-gate` compares
+// against — and every appended point accumulates in "history", oldest
+// first. Entries are opaque JSON objects
 // (cmd/benchjson's report schema; see EXPERIMENTS.md "Bench
 // trajectory"), so the format survives report-schema bumps without a
 // rewrite.

@@ -318,10 +318,11 @@ type Result struct {
 	// Truncated reports whether MaxSchedules cut the exploration short.
 	Truncated bool
 	// Aliased counts replays skipped because a scripted decision was
-	// clamped (sched.Script.Clamped): such runs alias an in-range
-	// decision vector and would double-count schedules. Always zero for
-	// builders that are deterministic functions of the decision
-	// sequence.
+	// clamped (sched.Reduced.Clamped, sched.BudgetedSwitch.Clamped) or
+	// never reached: such runs alias another schedule and would
+	// double-count it. Always zero for builders that are deterministic
+	// functions of the decision sequence, unless SeedFrontier came from
+	// another configuration.
 	Aliased int
 	// StepLimited counts runs aborted by sim.ErrStepLimit
 	// (Config.MaxSteps). A step-limit abort is an incomplete run, not by

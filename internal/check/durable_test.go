@@ -138,8 +138,11 @@ func TestFrontierResumeParallel(t *testing.T) {
 // TestFrontierExportDeterministic: with a deterministic interruption
 // point (MaxSchedules at Parallelism 1) the exported frontier is
 // byte-identical run to run — the property campaign checkpoints build
-// on.
+// on — and equal to the pinned JSON, so a change of the ExploreAll
+// chooser or of its child order cannot silently change what a stored
+// frontier means.
 func TestFrontierExportDeterministic(t *testing.T) {
+	const want = `{"explorer":"all","items":[{"prefix":[0,0,1,0,1,1]},{"prefix":[0,0,1,1]},{"prefix":[0,1]},{"prefix":[1]}],"schedules":7}`
 	build := twoProcBuilder(4, 1)
 	opts := check.Options{Parallelism: 1, MaxSchedules: 7, ExportFrontier: true}
 	a := check.ExploreAll(build, opts)
@@ -152,6 +155,78 @@ func TestFrontierExportDeterministic(t *testing.T) {
 	if string(aj) != string(bj) {
 		t.Fatalf("frontier export not deterministic:\n%s\n%s", aj, bj)
 	}
+	if string(aj) != want {
+		t.Fatalf("frontier export changed:\n got %s\nwant %s", aj, want)
+	}
+}
+
+// TestFrontierValidate: one rejected input per Validate rule, and the
+// shapes the explorers export pass.
+func TestFrontierValidate(t *testing.T) {
+	for _, tc := range []struct {
+		json string
+		ok   bool
+	}{
+		{`{"explorer":"all","items":[{"prefix":[0,2,1]},{}]}`, true},
+		{`{"explorer":"budget","items":[{"switches":[{"d":0,"c":1},{"d":4,"c":0}],"budget":1,"min_index":5},{"budget":2}]}`, true},
+		{`{"items":[{"prefix":[1]}]}`, false},
+		{`{"explorer":"fuzz","items":[]}`, false},
+		{`{"explorer":"all","items":[{"prefix":[0,-1]}]}`, false},
+		{`{"explorer":"budget","items":[{"switches":[{"d":-1,"c":1}],"budget":1}]}`, false},
+		{`{"explorer":"budget","items":[{"switches":[{"d":1,"c":-1}],"budget":1,"min_index":2}]}`, false},
+		{`{"explorer":"budget","items":[{"budget":-1}]}`, false},
+		{`{"explorer":"budget","items":[{"budget":1,"min_index":-1}]}`, false},
+		{`{"explorer":"budget","items":[{"switches":[{"d":3,"c":1},{"d":3,"c":0}],"min_index":4}]}`, false},
+		{`{"explorer":"budget","items":[{"switches":[{"d":3,"c":1},{"d":2,"c":0}],"min_index":4}]}`, false},
+		{`{"explorer":"budget","items":[{"switches":[{"d":3,"c":1}],"budget":1,"min_index":3}]}`, false},
+	} {
+		var f check.Frontier
+		if err := json.Unmarshal([]byte(tc.json), &f); err != nil {
+			t.Fatalf("%s: %v", tc.json, err)
+		}
+		if err := f.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.json, err, tc.ok)
+		}
+	}
+}
+
+// FuzzFrontierSeed: a frontier file is outside input. Any frontier
+// that passes Validate must seed its explorer without panicking —
+// neither out of the explorer nor contained as a violation — however
+// its items are shaped. The seeds are a real exported frontier of each
+// explorer plus inputs that once crashed or fooled cmd/checker.
+func FuzzFrontierSeed(f *testing.F) {
+	build := twoProcBuilder(3, 1)
+	opts := check.Options{Parallelism: 1, MaxSchedules: 5, ExportFrontier: true}
+	for _, res := range []*check.Result{check.ExploreAll(build, opts), check.ExploreBudget(build, 2, opts)} {
+		data, err := json.Marshal(res.Frontier)
+		if err != nil || res.Frontier.Empty() {
+			f.Fatalf("no frontier to seed with: %v", err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"explorer":"budget","items":[{"switches":[{"d":-5,"c":-1}],"budget":-3,"min_index":-2}]}`))
+	f.Add([]byte(`{"explorer":"all","items":[{"prefix":[99,99]}]}`))
+	f.Add([]byte(`{"explorer":"all","items":[{"prefix":[-1]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		var fr check.Frontier
+		if json.Unmarshal(data, &fr) != nil || fr.Validate() != nil {
+			return
+		}
+		opts := check.Options{Parallelism: 1, MaxSchedules: 64, SeedFrontier: &fr}
+		var res *check.Result
+		if fr.Explorer == "all" {
+			res = check.ExploreAll(build, opts)
+		} else {
+			res = check.ExploreBudget(build, fr.Budget, opts)
+		}
+		if !res.OK() {
+			t.Fatalf("seeded run reported %v", res.First().Err)
+		}
+	})
 }
 
 // TestFrontierCompleteRunExportsNothing: a run that finishes leaves no

@@ -602,92 +602,21 @@ func exploreTree[T any](build Builder, opts Options, explorer string, budget int
 	return res
 }
 
-// prefixItem identifies one plain-ExploreAll subtree: the schedule at
-// its root is prefix followed by implicit zeros.
-type prefixItem struct {
-	prefix []int
-}
-
 // ExploreAll exhaustively enumerates the full schedule tree (every
 // choice at every decision point) up to opts.MaxSchedules schedules,
 // fanning disjoint decision-vector subtrees out over
-// opts.Parallelism workers.
+// opts.Parallelism workers. Every mode runs on the Reduced chooser:
+// with Reduction none it picks exactly like a replay Script, and each
+// enabled reduction only removes work.
 func ExploreAll(build Builder, opts Options) *Result {
-	if opts.Reduction != ReductionNone {
-		return exploreTree(build, opts, "all", 0, []*redItem{{}}, nil, func(c *collector) treeHooks[redItem] {
+	return exploreTree(build, opts, "all", 0, seedItemsAll(opts.SeedFrontier), (*collector).exportAll,
+		func(c *collector) treeHooks[redItem] {
 			h := &redHooks{c: c, ch: sched.Reduced{SleepSets: opts.Reduction.sleepSets(), Budget: unboundedBudget}}
 			if c.cache != nil {
 				h.ch.Prune = c.cache.pruneFunc()
 			}
 			return h
 		})
-	}
-	return exploreTree(build, opts, "all", 0, seedItemsAll(opts.SeedFrontier), (*collector).exportAll,
-		func(*collector) treeHooks[prefixItem] { return &allHooks{} })
-}
-
-// allHooks drives plain ExploreAll with a replay Script: no snapshot
-// arena, no sleep sets, no cache. The schedule at the root of an item
-// is its prefix followed by implicit zeros, and its children are every
-// single-point deviation at or after len(prefix). Together with the
-// root run those exactly cover the subtree, so each schedule is
-// executed once.
-type allHooks struct {
-	script sched.Script
-}
-
-func (h *allHooks) reset(item *prefixItem) sim.Chooser {
-	h.script.Reset(item.prefix)
-	return &h.script
-}
-
-func (h *allHooks) aliased(item *prefixItem) bool {
-	return h.script.Clamped || len(h.script.Fanouts) < len(item.prefix)
-}
-
-func (h *allHooks) key(item *prefixItem) schedKey { return prefixKey(item.prefix) }
-
-func (h *allHooks) describe(item *prefixItem) string {
-	return fmt.Sprintf("decisions=%v", item.prefix)
-}
-
-// taken is the prefix itself: an unaliased run replays it exactly and
-// then picks candidate 0, which canonDecisions trims.
-func (h *allHooks) taken(item *prefixItem) []int { return item.prefix }
-
-func (h *allHooks) pruned() *atomic.Int64 { return nil }
-
-// children are slab-allocated — exact capacities sized by a counting
-// pass, so the fill never reallocates, item pointers and prefix
-// subslices stay stable, and the whole frontier of one schedule costs
-// two heap objects. A child's prefix is item's prefix, zeros up to the
-// deviation point (the slab is freshly zeroed memory), then the
-// deviating choice; the three-index subslicing keeps it detached from
-// its neighbors' (appends force a copy).
-func (h *allHooks) children(item *prefixItem, push func(*prefixItem)) {
-	prefix, fanouts := item.prefix, h.script.Fanouts
-	children, prefixInts := 0, 0
-	for i := len(prefix); i < len(fanouts); i++ {
-		if n := fanouts[i] - 1; n > 0 {
-			children += n
-			prefixInts += n * (i + 1)
-		}
-	}
-	if children == 0 {
-		return
-	}
-	items := make([]prefixItem, 0, children)
-	prefixSlab := make([]int, 0, prefixInts)
-	for i := len(prefix); i < len(fanouts); i++ {
-		for choice := fanouts[i] - 1; choice >= 1; choice-- {
-			ps := len(prefixSlab)
-			prefixSlab = prefixSlab[:ps+i+1]
-			copy(prefixSlab[ps:], prefix)
-			prefixSlab[ps+i] = choice
-			items = append(items, prefixItem{prefix: prefixSlab[ps:len(prefixSlab):len(prefixSlab)]})
-			push(&items[len(items)-1])
-		}
-	}
 }
 
 // switchPoint is one directed deviation of an ExploreBudget schedule.

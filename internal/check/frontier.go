@@ -49,8 +49,9 @@ type FrontierItem struct {
 // Frontier export/seed is supported for the plain (ReductionNone)
 // ExploreAll and ExploreBudget explorers: reduced explorations carry
 // cross-run pruning state (sleep sets, the fingerprint cache) that a
-// frontier snapshot cannot soundly capture, so the reduced paths ignore
-// ExportFrontier and panic on a SeedFrontier.
+// frontier does not hold, so the reduced paths ignore ExportFrontier
+// and panic on a SeedFrontier (DESIGN.md §11 measures why resuming
+// without that state is not worth it).
 type Frontier struct {
 	// Explorer identifies the explorer the frontier belongs to:
 	// "all" (ExploreAll) or "budget" (ExploreBudget).
@@ -68,6 +69,41 @@ type Frontier struct {
 // Empty reports whether the frontier holds no pending work.
 func (f *Frontier) Empty() bool { return f == nil || len(f.Items) == 0 }
 
+// Validate checks a decoded frontier's shape: it names one of the two
+// tree explorers, and every item is a subtree that explorer could have
+// exported — no negative decision, choice, budget or index, switch
+// decisions strictly increasing, and further deviations placed only
+// past the last switch. A frontier that passes seeds its explorer
+// without panicking; whether it belongs to the configuration it is fed
+// to is not checkable here (a foreign one shows up as aliased replays,
+// Result.Aliased).
+func (f *Frontier) Validate() error {
+	if f.Explorer != "all" && f.Explorer != "budget" {
+		return fmt.Errorf("check: frontier explorer %q (want all or budget)", f.Explorer)
+	}
+	for i, it := range f.Items {
+		for _, d := range it.Prefix {
+			if d < 0 {
+				return fmt.Errorf("check: frontier item %d: negative prefix decision %d", i, d)
+			}
+		}
+		if it.Budget < 0 || it.MinIndex < 0 {
+			return fmt.Errorf("check: frontier item %d: negative budget %d or min_index %d", i, it.Budget, it.MinIndex)
+		}
+		last := int64(-1)
+		for _, sw := range it.Switches {
+			if sw.Decision <= last || sw.Choice < 0 {
+				return fmt.Errorf("check: frontier item %d: switch %+v is negative or out of order", i, sw)
+			}
+			last = sw.Decision
+		}
+		if len(it.Switches) > 0 && it.MinIndex <= last {
+			return fmt.Errorf("check: frontier item %d: min_index %d is not past the last switch %d", i, it.MinIndex, last)
+		}
+	}
+	return nil
+}
+
 // keyedFrontier pairs an exported item with its canonical schedule key
 // so the Result's frontier is ordered deterministically (for a
 // deterministic interruption point — e.g. MaxSchedules at
@@ -79,7 +115,7 @@ type keyedFrontier struct {
 }
 
 // exportAll records one unexplored ExploreAll subtree.
-func (c *collector) exportAll(item *prefixItem) {
+func (c *collector) exportAll(item *redItem) {
 	prefix := append([]int(nil), item.prefix...)
 	c.exportItem(keyedFrontier{key: prefixKey(prefix), item: FrontierItem{Prefix: prefix}})
 }
@@ -127,13 +163,13 @@ func checkSeed(opts Options, explorer string) {
 
 // seedItemsAll converts a seeded frontier back into ExploreAll work
 // items (the zero frontier yields the root subtree).
-func seedItemsAll(f *Frontier) []*prefixItem {
+func seedItemsAll(f *Frontier) []*redItem {
 	if f == nil {
-		return []*prefixItem{{}}
+		return []*redItem{{}}
 	}
-	items := make([]*prefixItem, len(f.Items))
+	items := make([]*redItem, len(f.Items))
 	for i, fi := range f.Items {
-		items[i] = &prefixItem{prefix: fi.Prefix}
+		items[i] = &redItem{prefix: fi.Prefix}
 	}
 	return items
 }

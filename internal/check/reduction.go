@@ -360,20 +360,24 @@ func (c *fpCache) pruneFunc() sched.PruneFunc {
 	}
 }
 
-// redItem identifies one reduced-ExploreAll subtree: the decision prefix
-// and the sleep set in effect immediately after its branch decision.
+// redItem identifies one ExploreAll subtree: the decision prefix (the
+// schedule at its root is prefix followed by default decisions) and the
+// sleep set in effect immediately after its branch decision (always
+// empty without sleep sets).
 type redItem struct {
 	prefix []int
 	sleep  []sched.SleepEntry
 }
 
-// redHooks drives reduced ExploreAll with the footprint-aware Reduced
-// chooser, whose snapshot arenas are reused across every schedule the
-// worker executes. The schedule tree is partitioned into
-// decision-prefix subtrees exactly as in the plain explorer; reductions
-// only remove work: asleep branches are never spawned, all-asleep and
-// revisited-state runs abort early, and an aborted run still seeds its
-// children for the decisions it completed.
+// redHooks drives ExploreAll with the footprint-aware Reduced chooser,
+// whose snapshot arenas are reused across every schedule the worker
+// executes. The schedule tree is partitioned into decision-prefix
+// subtrees: an item's children are every single-point deviation at or
+// after len(prefix), which together with the root run cover the
+// subtree exactly once. Reductions only remove work: asleep branches
+// are never spawned, all-asleep and revisited-state runs abort early,
+// and an aborted run still seeds its children for the decisions it
+// completed.
 type redHooks struct {
 	c  *collector
 	ch sched.Reduced

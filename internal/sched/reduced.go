@@ -28,8 +28,10 @@ type SleepEntry struct {
 // crash), it was executed by the sleeping process itself (a forced
 // singleton grant), it shares a processor with the sleeper under
 // quantum scheduling (grant order decides quantum protection), or its
-// footprint conflicts with the sleeper's pending statement. This is the
-// exact complement of sim.Decision.Independent.
+// footprint does not commute with the sleeper's pending statement
+// (mem.Footprint.Commutes). An access that does not wake e is
+// independent of the sleeper's pending statement, so e's subtree stays
+// covered by the earlier sibling that put it to sleep.
 func (e SleepEntry) Wakes(a sim.Access, quantum int) bool {
 	if a.Global || a.Proc == e.Proc {
 		return true
@@ -100,13 +102,13 @@ type PruneInfo struct {
 // Returning true makes the chooser return sim.PickAbort.
 type PruneFunc func(info PruneInfo) bool
 
-// Reduced is the footprint-aware replacement for Script used by the
-// reduction-enabled exhaustive explorer: it replays a fixed decision
-// prefix verbatim, then continues with default decisions (the first
-// candidate not in the live sleep set), recording everything the
-// explorer needs to spawn the subtree's children. Sleep-set
-// partial-order reduction and visited-fingerprint pruning are each
-// optional; with both off, Reduced picks exactly like Script.
+// Reduced is the chooser of the exhaustive explorer (check.ExploreAll)
+// in every reduction mode: it replays a fixed decision prefix verbatim,
+// then continues with default decisions (the first candidate not in
+// the live sleep set), recording everything the explorer needs to
+// spawn the subtree's children. Sleep-set partial-order reduction and
+// visited-fingerprint pruning are each optional; with both off, Reduced
+// picks exactly like Script, which is how plain ExploreAll runs.
 //
 // Decision vectors recorded in Taken are plain candidate indices:
 // replaying them through a vanilla Script (or an artifact bundle)
@@ -134,10 +136,9 @@ type Reduced struct {
 	// Snaps records the free-region decisions (index i corresponds to
 	// decision index len(Prefix)+i).
 	Snaps []DecisionSnap
-	// Clamped / ClampCount report out-of-range prefix decisions, exactly
-	// as for Script: the replay aliases another schedule.
-	Clamped    bool
-	ClampCount int
+	// Clamped reports an out-of-range prefix decision, exactly as for
+	// Script: the replay aliases another schedule.
+	Clamped bool
 	// Pruned reports that Prune cut the run; SleepDeadlock reports that
 	// every candidate was asleep (the whole continuation is covered by
 	// earlier siblings). Either way Run returns sim.ErrPickAbort.
@@ -168,7 +169,6 @@ func (r *Reduced) Reset(prefix []int, sleep []SleepEntry) {
 	r.Fanouts = r.Fanouts[:0]
 	r.Snaps = r.Snaps[:0]
 	r.Clamped = false
-	r.ClampCount = 0
 	r.Pruned = false
 	r.SleepDeadlock = false
 	r.pos = 0
@@ -187,7 +187,6 @@ func (r *Reduced) Pick(d sim.Decision) int {
 		if i >= len(d.Candidates) {
 			i = len(d.Candidates) - 1
 			r.Clamped = true
-			r.ClampCount++
 		}
 		r.Taken = append(r.Taken, i)
 		if idx == len(r.Prefix)-1 {

@@ -81,36 +81,6 @@ type Decision struct {
 	Since []Access
 }
 
-// Independent reports whether candidates i and j's next statements
-// commute: executing them in either order reaches the same system
-// state, so a partial-order-reducing explorer need not branch on their
-// relative order. The relation is deliberately conservative:
-//
-//   - both candidates must be parked mid-invocation with known next
-//     footprints (arrivals never commute: they change scheduler state
-//     and their first access is unknown until granted);
-//   - the footprints must commute (distinct objects, or two reads of
-//     the same object; consensus invocations of the same object never
-//     commute — the first invocation decides);
-//   - the candidates must run on different processors, or the quantum
-//     must be 0: with Q > 0, ordering two same-processor grants decides
-//     who preempts whom and therefore who holds quantum protection.
-//
-// Diagnostic counters (Process.Preemptions) are outside the relation:
-// no explorer verdict observes them.
-func (d Decision) Independent(i, j int) bool {
-	p, q := d.Candidates[i], d.Candidates[j]
-	pf, pok := p.NextFootprint()
-	qf, qok := q.NextFootprint()
-	if !pok || !qok {
-		return false
-	}
-	if p.Processor() == q.Processor() && d.Sys.Quantum() > 0 {
-		return false
-	}
-	return pf.Commutes(qf)
-}
-
 // PickAbort is the sentinel a Chooser may return from Pick to terminate
 // the run at this decision point: the kernel unwinds every process and
 // Run returns ErrPickAbort. Reduction-aware explorers use it to cut off

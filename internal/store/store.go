@@ -1,11 +1,11 @@
 // Package store is the job service's persistent artifact store: one
 // directory tree holding everything the server must not lose across a
 // restart — per-job state (spec, status, progress, campaign state
-// directories), content-addressed repro bundles, and the appended bench
-// history. All writes are atomic (write-temp-then-rename), so a crash
-// at any point leaves every file either old or new, never torn; this is
-// what lets the server treat the store as the single source of truth on
-// boot and resume interrupted jobs from it.
+// directories) and content-addressed repro bundles. All writes are
+// atomic (write-temp-then-rename), so a crash at any point leaves every
+// file either old or new, never torn; this is what lets the server
+// treat the store as the single source of truth on boot and resume
+// interrupted jobs from it.
 //
 // Layout under the root:
 //
@@ -15,7 +15,6 @@
 //	jobs/job-000001/state/         campaign state dir (soak jobs)
 //	jobs/job-000001/scratch/       per-job scratch artifact dir
 //	artifacts/<sha256>.json        content-addressed repro bundles
-//	bench.json                     appended bench history (internal/bench)
 //
 // Job IDs are dense ("job-%06d"): CreateJob scans the existing IDs and
 // allocates max+1, so IDs stay stable and sortable across restarts.
@@ -34,12 +33,11 @@ import (
 	"sync"
 
 	"repro/internal/artifact"
-	"repro/internal/bench"
 )
 
 // Store is a handle on one store root. The mutex serializes ID
-// allocation and bench appends; everything else is naturally safe
-// because writes are atomic renames of content-complete files.
+// allocation; everything else is naturally safe because writes are
+// atomic renames of content-complete files.
 type Store struct {
 	root string
 	mu   sync.Mutex
@@ -299,37 +297,4 @@ func (s *Store) ArtifactKeys() ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// benchPath is the store's appended bench-history file.
-func (s *Store) benchPath() string { return filepath.Join(s.root, "bench.json") }
-
-// AppendBench appends one bench report to the store's history file
-// (internal/bench {latest, history} format, shared with cmd/benchjson).
-func (s *Store) AppendBench(entry []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	existing, err := os.ReadFile(s.benchPath())
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	merged, err := bench.AppendHistory(existing, entry)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeAtomic(s.benchPath(), merged)
-}
-
-// BenchHistory returns the store's bench history; an empty-but-valid
-// history when nothing was appended yet.
-func (s *Store) BenchHistory() ([]byte, error) {
-	data, err := os.ReadFile(s.benchPath())
-	if os.IsNotExist(err) {
-		h := &bench.History{}
-		return h.Encode()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return data, nil
 }

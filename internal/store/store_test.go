@@ -1,13 +1,11 @@
 package store_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/artifact"
-	"repro/internal/bench"
 	"repro/internal/store"
 )
 
@@ -161,45 +159,6 @@ func TestImportArtifact(t *testing.T) {
 		t.Fatal("missing bundle file accepted")
 	}
 }
-
-func TestBenchHistoryAppend(t *testing.T) {
-	s := open(t)
-	empty, err := s.BenchHistory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := bench.ParseHistory(empty)
-	if err != nil || len(h.History) != 0 {
-		t.Fatalf("empty store history: %v %v", h, err)
-	}
-	if err := s.AppendBench([]byte(`{"schema":3,"run":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendBench([]byte(`{"schema":3,"run":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendBench([]byte("{broken")); err == nil {
-		t.Fatal("invalid bench entry accepted")
-	}
-	data, err := s.BenchHistory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err = bench.ParseHistory(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.History) != 2 {
-		t.Fatalf("history has %d entries, want 2", len(h.History))
-	}
-	var latest struct {
-		Run int `json:"run"`
-	}
-	if err := json.Unmarshal(h.Latest, &latest); err != nil || latest.Run != 2 {
-		t.Fatalf("latest entry %s (err %v), want run 2", h.Latest, err)
-	}
-}
-
 func TestStateAndScratchDirsAreInsideJob(t *testing.T) {
 	s := open(t)
 	id, err := s.CreateJob()

@@ -12,15 +12,18 @@
 // univalent — where the decisive symmetry-breaking step happens (the
 // object O in Fig. 6).
 //
-// Analyze enumerates the full schedule tree by replay (the simulator
-// cannot fork mid-run) and classifies every prefix. Feasible for tiny
-// configurations only, like the proofs it mirrors.
+// Analyze and AnalyzeBudget do not walk the schedule tree themselves:
+// they run check.ExploreAll and check.ExploreBudget (sequentially, in
+// canonical order), record every completed run's decision vector and
+// outcome into a trie of prefixes, and classify every prefix. Feasible
+// for tiny configurations only, like the proofs it mirrors.
 package valency
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/check"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -81,7 +84,6 @@ func (r *Result) String() string {
 type node struct {
 	children map[int]*node
 	outcomes map[mem.Word]int // decided value → leaf count below
-	invalid  int              // violating leaves below
 	depth    int
 	leaf     bool
 }
@@ -90,146 +92,81 @@ func newNode(depth int) *node {
 	return &node{children: map[int]*node{}, outcomes: map[mem.Word]int{}, depth: depth}
 }
 
+// observe counts one leaf below n (a violating leaf decides nothing).
+func (n *node) observe(out Outcome) {
+	if out.Valid {
+		n.outcomes[out.Decision]++
+	}
+}
+
 // Analyze enumerates up to maxLeaves maximal schedules of the scenario
 // and classifies every prefix's valency.
 func Analyze(s Scenario, maxLeaves int) *Result {
-	if maxLeaves <= 0 {
-		maxLeaves = 100000
-	}
-	root := newNode(0)
-	res := &Result{Decisions: map[mem.Word]int{}}
-
-	var prefix []int
-	for {
-		if res.Leaves >= maxLeaves {
-			res.Truncated = true
-			break
-		}
-		script := &sched.Script{Decisions: prefix}
-		sys, outcome := s(script)
-		runErr := sys.Run()
-		out := outcome(runErr)
-		res.Leaves++
-
-		// Record the leaf into the trie.
-		taken := make([]int, len(script.Fanouts))
-		copy(taken, prefix)
-		n := root
-		for _, d := range taken {
-			child, ok := n.children[d]
-			if !ok {
-				child = newNode(n.depth + 1)
-				n.children[d] = child
-			}
-			n = child
-		}
-		n.leaf = true
-		if out.Valid {
-			res.Decisions[out.Decision]++
-		} else {
-			res.Violations++
-		}
-		// Propagate to ancestors.
-		n = root
-		record := func(nd *node) {
-			if out.Valid {
-				nd.outcomes[out.Decision]++
-			} else {
-				nd.invalid++
-			}
-		}
-		record(n)
-		for _, d := range taken {
-			n = n.children[d]
-			record(n)
-		}
-
-		// Advance to the next schedule lexicographically.
-		i := len(taken) - 1
-		for i >= 0 && taken[i]+1 >= script.Fanouts[i] {
-			i--
-		}
-		if i < 0 {
-			break
-		}
-		prefix = append(taken[:i:i], taken[i]+1)
-	}
-
-	res.classify(root)
-	return res
+	return analyze(s, maxLeaves, check.ExploreAll)
 }
 
 // AnalyzeBudget analyzes the subtree of schedules deviating from the
 // default continue-current-process schedule in at most budget places
-// (the same coverage as check.ExploreBudget). Valency classifications
-// are relative to the explored subtree.
+// (the schedules check.ExploreBudget enumerates). Valency
+// classifications are relative to the explored subtree.
 func AnalyzeBudget(s Scenario, budget, maxLeaves int) *Result {
+	return analyze(s, maxLeaves, func(build check.Builder, opts check.Options) *check.Result {
+		return check.ExploreBudget(build, budget, opts)
+	})
+}
+
+// analyze runs explore over the scenario and records each of its first
+// maxLeaves completed runs into the prefix trie. The exploration is
+// sequential, because the trie is not thread-safe and a leaf cap must
+// cut the canonical enumeration order. The builder records decisions
+// through its own sched.Record rather than the explorer's chooser,
+// which on a probe run is a slot the explorer re-points later. The
+// verifier never reports a violation, so every violation in the check
+// result is a contained panic of the scenario: it is raised again.
+func analyze(s Scenario, maxLeaves int, explore func(check.Builder, check.Options) *check.Result) *Result {
 	if maxLeaves <= 0 {
 		maxLeaves = 100000
 	}
 	root := newNode(0)
 	res := &Result{Decisions: map[mem.Word]int{}}
-
-	var rec func(switches map[int64]int, minIndex int64, budget int)
-	rec = func(switches map[int64]int, minIndex int64, budget int) {
-		if res.Leaves >= maxLeaves {
-			res.Truncated = true
-			return
-		}
-		ch := &sched.BudgetedSwitch{SwitchAt: switches}
-		sys, outcome := s(ch)
-		runErr := sys.Run()
-		out := outcome(runErr)
-		res.Leaves++
-
-		n := root
-		record := func(nd *node) {
-			if out.Valid {
-				nd.outcomes[out.Decision]++
-			} else {
-				nd.invalid++
-			}
-		}
-		record(n)
-		for _, d := range ch.Taken {
-			child, ok := n.children[d]
-			if !ok {
-				child = newNode(n.depth + 1)
-				n.children[d] = child
-			}
-			n = child
-			record(n)
-		}
-		n.leaf = true
-		if out.Valid {
-			res.Decisions[out.Decision]++
-		} else {
-			res.Violations++
-		}
-
-		if budget == 0 {
-			return
-		}
-		for d := minIndex; d < int64(len(ch.Fanouts)); d++ {
-			for choice := 0; choice < ch.Fanouts[d]; choice++ {
-				if choice == ch.Taken[d] {
-					continue
-				}
-				next := make(map[int64]int, len(switches)+1)
-				for k, v := range switches {
-					next[k] = v
-				}
-				next[d] = choice
-				rec(next, d+1, budget-1)
-				if res.Truncated {
-					return
-				}
-			}
+	build := func(ch sim.Chooser) (*sim.System, check.Verify) {
+		rec := sched.NewRecord(ch)
+		sys, outcome := s(rec)
+		return sys, func(runErr error) error {
+			res.record(root, rec.Taken, outcome(runErr))
+			return nil
 		}
 	}
-	rec(map[int64]int{}, 0, budget)
+	cres := explore(build, check.Options{Parallelism: 1, MaxSchedules: maxLeaves, StopAtFirst: true})
+	if v := cres.First(); v != nil {
+		panic(v.Err)
+	}
+	res.Truncated = cres.Truncated
 	res.classify(root)
 	return res
+}
+
+// record adds one completed run, identified by its decision vector, to
+// the trie and the leaf tallies.
+func (res *Result) record(root *node, taken []int, out Outcome) {
+	res.Leaves++
+	if out.Valid {
+		res.Decisions[out.Decision]++
+	} else {
+		res.Violations++
+	}
+	n := root
+	n.observe(out)
+	for _, d := range taken {
+		child, ok := n.children[d]
+		if !ok {
+			child = newNode(n.depth + 1)
+			n.children[d] = child
+		}
+		n = child
+		n.observe(out)
+	}
+	n.leaf = true
 }
 
 // classify walks the trie computing the summary statistics.

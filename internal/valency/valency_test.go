@@ -2,6 +2,7 @@ package valency_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -120,20 +121,55 @@ func TestExhaustionValency(t *testing.T) {
 	t.Logf("n<=C: %s", good)
 }
 
-// TestAnalyzeTruncation caps the enumeration.
-func TestAnalyzeTruncation(t *testing.T) {
-	res := valency.Analyze(fig3Scenario(3, unicons.MinQuantum), 10)
-	if !res.Truncated || res.Leaves != 10 {
-		t.Fatalf("leaves=%d truncated=%v, want 10/true", res.Leaves, res.Truncated)
+// TestAnalyzeSummaries pins the exact summary of cmd/valency
+// configurations, truncated ones included: walking the trees through
+// the check explorers must visit the same schedules, in the same order,
+// as the enumeration the figures were first recorded with. A scenario
+// that panics must fail loudly, not count as a violating leaf.
+func TestAnalyzeSummaries(t *testing.T) {
+	panicky := func(ch sim.Chooser) (*sim.System, func(error) valency.Outcome) {
+		sys, _ := fig3Scenario(2, unicons.MinQuantum)(ch)
+		return sys, func(error) valency.Outcome { panic("scenario bug") }
 	}
-}
-
-// TestResultString covers the renderer.
-func TestResultString(t *testing.T) {
-	res := valency.Analyze(fig3Scenario(2, unicons.MinQuantum), 100000)
-	s := res.String()
-	if s == "" {
-		t.Fatal("empty summary")
+	for _, tc := range []struct {
+		name        string
+		scen        valency.Scenario
+		budget, max int
+		want        string
+	}{
+		{"fig3 -n 2 -q 8", fig3Scenario(2, 8), 0, 100000,
+			"leaves=114 prefixes=113 bivalent=17 critical=4 maxBivalentDepth=6 violations=0 decisions=[1×57][2×57]"},
+		{"fig3 -n 3 -q 1 -budget 3", fig3Scenario(3, 1), 3, 100000,
+			"leaves=4605 prefixes=27528 bivalent=109 critical=30 maxBivalentDepth=10 violations=2 decisions=[1×2853][2×841][3×909]"},
+		{"fig3 -n 3 -q 2 -budget 3 -max 50", fig3Scenario(3, 2), 3, 50,
+			"leaves=50 prefixes=495 bivalent=9 critical=3 maxBivalentDepth=4 violations=0 decisions=[1×21][2×7][3×22] (truncated)"},
+		{"fig3 -n 3 -q 8 -max 10", fig3Scenario(3, 8), 0, 10,
+			"leaves=10 prefixes=24 bivalent=0 critical=0 maxBivalentDepth=0 violations=0 decisions=[1×10] (truncated)"},
+		{"fig3 -n 2 -q 2", fig3Scenario(2, 2), 0, 100000,
+			"leaves=1296 prefixes=1295 bivalent=43 critical=10 maxBivalentDepth=8 violations=42 decisions=[1×627][2×627]"},
+		{"exhaust -n 3 -p 2 -c 2", exhaustionScenario(3, 2, 2), 0, 100000,
+			"leaves=6 prefixes=4 bivalent=0 critical=0 maxBivalentDepth=0 violations=6 decisions="},
+		{"panicking scenario", panicky, 0, 100000, "panic: scenario bug"},
+		{"panicking scenario -budget 1", panicky, 1, 100000, "panic: scenario bug"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := func() (s string) {
+				defer func() {
+					if r := recover(); r != nil {
+						s = fmt.Sprint(r)
+						if strings.Contains(s, "scenario bug") {
+							s = "panic: scenario bug"
+						}
+					}
+				}()
+				if tc.budget > 0 {
+					return valency.AnalyzeBudget(tc.scen, tc.budget, tc.max).String()
+				}
+				return valency.Analyze(tc.scen, tc.max).String()
+			}()
+			if got != tc.want {
+				t.Fatalf("got  %s\nwant %s", got, tc.want)
+			}
+		})
 	}
-	fmt.Println("summary:", s)
 }
