@@ -173,3 +173,22 @@ func TestAnalyzeSummaries(t *testing.T) {
 		})
 	}
 }
+
+// TestAnalyzeTruncation checks that the leaf cap stops the walk and
+// marks the result truncated.
+func TestAnalyzeTruncation(t *testing.T) {
+	res := valency.Analyze(fig3Scenario(3, unicons.MinQuantum), 10)
+	if !res.Truncated || res.Leaves != 10 {
+		t.Fatalf("leaves=%d truncated=%v, want 10/true", res.Leaves, res.Truncated)
+	}
+}
+
+// TestResultString covers the renderer.
+func TestResultString(t *testing.T) {
+	res := valency.Analyze(fig3Scenario(2, unicons.MinQuantum), 100000)
+	s := res.String()
+	if s == "" {
+		t.Fatal("empty summary")
+	}
+	fmt.Println("summary:", s)
+}
