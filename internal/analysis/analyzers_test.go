@@ -180,6 +180,19 @@ func TestAnalyzerInventory(t *testing.T) {
 	}
 }
 
+// TestLoadDirExportTest: the external test package sees the package
+// under test with its in-package test files, as the go command builds
+// it, so a method defined in export_test.go type-checks there.
+func TestLoadDirExportTest(t *testing.T) {
+	pkgs, err := analysis.NewLoader().LoadDir("testdata/exporttest", "repro/internal/analysis/testdata/exporttest", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 || pkgs[1].Path != "repro/internal/analysis/testdata/exporttest_test" {
+		t.Fatalf("got %d packages, want the package and its external test", len(pkgs))
+	}
+}
+
 func TestMarkerValidation(t *testing.T) {
 	loader := analysis.NewLoader()
 	pkgs, err := loader.LoadDir("testdata/allowmarkers", "repro/internal/analysis/testdata/allowmarkers", true)

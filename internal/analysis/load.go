@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -112,15 +113,22 @@ func (l *Loader) LoadDir(dir, pkgPath string, includeTests bool) ([]*Package, er
 	}
 
 	var out []*Package
+	imp := l.imp
 	if len(primary) > 0 {
-		pkg, err := l.check(dir, pkgPath, primary, tests)
+		pkg, err := l.check(l.imp, dir, pkgPath, primary, tests)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
+		if slices.ContainsFunc(primary, func(f *ast.File) bool { return tests[f] }) {
+			// As the go command builds it, the external test package
+			// imports the package under test with its in-package test
+			// files (export_test.go) folded in.
+			imp = testVariant{l.imp, pkg.Types}
+		}
 	}
 	if len(external) > 0 {
-		pkg, err := l.check(dir, pkgPath+"_test", external, tests)
+		pkg, err := l.check(imp, dir, pkgPath+"_test", external, tests)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +137,25 @@ func (l *Loader) LoadDir(dir, pkgPath string, includeTests bool) ([]*Package, er
 	return out, nil
 }
 
-func (l *Loader) check(dir, pkgPath string, files []*ast.File, tests map[*ast.File]bool) (*Package, error) {
+// testVariant resolves the package under test to its test build and
+// every other import through the shared importer.
+type testVariant struct {
+	types.ImporterFrom
+	pkg *types.Package
+}
+
+func (v testVariant) Import(path string) (*types.Package, error) {
+	return v.ImportFrom(path, "", 0)
+}
+
+func (v testVariant) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == v.pkg.Path() {
+		return v.pkg, nil
+	}
+	return v.ImporterFrom.ImportFrom(path, dir, mode)
+}
+
+func (l *Loader) check(imp types.Importer, dir, pkgPath string, files []*ast.File, tests map[*ast.File]bool) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -137,7 +163,7 @@ func (l *Loader) check(dir, pkgPath string, files []*ast.File, tests map[*ast.Fi
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", pkgPath, err)

@@ -63,21 +63,3 @@ func TestExpBaselineCurve(t *testing.T) {
 		t.Fatalf("bad render:\n%s", out)
 	}
 }
-
-// TestMeasureReductionRatio pins the headline reduction claim: on the
-// benchmark configuration, full reduction explores at least 5x fewer
-// schedules than the plain enumeration for the same verdict.
-// (MeasureReduction itself errors out if the verdicts disagree.)
-func TestMeasureReductionRatio(t *testing.T) {
-	rb, err := bench.MeasureReduction(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Ratio < 5 {
-		t.Errorf("reduction ratio %.1fx (plain %d, reduced %d), want >= 5x",
-			rb.Ratio, rb.PlainSchedules, rb.ReducedSchedules)
-	}
-	if rb.ReducedSchedules <= 0 || rb.PlainSchedules <= rb.ReducedSchedules {
-		t.Errorf("implausible schedule counts: plain %d, reduced %d", rb.PlainSchedules, rb.ReducedSchedules)
-	}
-}

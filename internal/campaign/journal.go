@@ -233,13 +233,6 @@ func (j *Journal) Degraded() bool {
 	return j.degraded
 }
 
-// Lost is the number of records not persisted because of degradation.
-func (j *Journal) Lost() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lost
-}
-
 // Sync flushes the journal to stable storage.
 func (j *Journal) Sync() error {
 	j.mu.Lock()

@@ -213,20 +213,56 @@ func FuzzFrontierSeed(f *testing.F) {
 			return
 		}
 		var fr check.Frontier
-		if json.Unmarshal(data, &fr) != nil || fr.Validate() != nil {
+		if json.Unmarshal(data, &fr) != nil {
 			return
 		}
-		opts := check.Options{Parallelism: 1, MaxSchedules: 64, SeedFrontier: &fr}
-		var res *check.Result
-		if fr.Explorer == "all" {
-			res = check.ExploreAll(build, opts)
-		} else {
-			res = check.ExploreBudget(build, fr.Budget, opts)
-		}
-		if !res.OK() {
-			t.Fatalf("seeded run reported %v", res.First().Err)
-		}
+		seedValidFrontier(t, build, &fr)
 	})
+}
+
+// FuzzFrontierItem is FuzzFrontierSeed over a structured input: the
+// explorer kind, one item's prefix, budget and min_index, and at most
+// one switch are fuzz arguments, so the mutator reaches boundary values
+// (a negative min_index, a switch past it) directly instead of through
+// JSON syntax.
+func FuzzFrontierItem(f *testing.F) {
+	build := twoProcBuilder(3, 1)
+	f.Add(false, []byte{0, 1}, 0, int64(0), false, int64(0), 0)
+	f.Add(true, []byte{}, 2, int64(0), false, int64(0), 0)
+	f.Add(true, []byte{}, 1, int64(3), true, int64(2), 1)
+	f.Fuzz(func(t *testing.T, budgetKind bool, prefix []byte, budget int, minIndex int64, hasSwitch bool, d int64, c int) {
+		fr := check.Frontier{Explorer: "all"}
+		it := check.FrontierItem{Budget: budget, MinIndex: minIndex}
+		if budgetKind {
+			fr.Explorer = "budget"
+		}
+		for _, b := range prefix {
+			it.Prefix = append(it.Prefix, int(int8(b)))
+		}
+		if hasSwitch {
+			it.Switches = []check.SwitchRec{{Decision: d, Choice: c}}
+		}
+		fr.Items = []check.FrontierItem{it}
+		seedValidFrontier(t, build, &fr)
+	})
+}
+
+// seedValidFrontier seeds fr's explorer with fr if it passes Validate,
+// and fails if the seeded run panics or reports a contained panic.
+func seedValidFrontier(t *testing.T, build check.Builder, fr *check.Frontier) {
+	if fr.Validate() != nil {
+		return
+	}
+	opts := check.Options{Parallelism: 1, MaxSchedules: 64, SeedFrontier: fr}
+	var res *check.Result
+	if fr.Explorer == "all" {
+		res = check.ExploreAll(build, opts)
+	} else {
+		res = check.ExploreBudget(build, fr.Budget, opts)
+	}
+	if !res.OK() {
+		t.Fatalf("seeded run reported %v", res.First().Err)
+	}
 }
 
 // TestFrontierCompleteRunExportsNothing: a run that finishes leaves no

@@ -389,25 +389,6 @@ func (o *Object) Peek() mem.Word {
 	}
 }
 
-// ChainLen returns the number of successful nontrivial operations
-// applied. Post-run inspection only.
-func (o *Object) ChainLen() int {
-	if o.rec != nil {
-		return o.appends
-	}
-	n := 0
-	k := cellKey{id: 0, tag: 0}
-	//repro:bound unbounded post-run walk over the whole applied-ops chain; never executed during a run
-	for {
-		nxt := o.cellAt(k).nxt.Peek()
-		if nxt == mem.Bottom {
-			return n
-		}
-		k = unpackKey(nxt)
-		n++
-	}
-}
-
 // MaxWalk returns the longest head walk observed — the empirical bound
 // on hint staleness. Post-run inspection only.
 func (o *Object) MaxWalk() int { return o.maxWalk }

@@ -98,32 +98,6 @@ func NewRegArrayInit(name string, n int, v Word) []*Reg {
 	return rs
 }
 
-// NewRegMatrix allocates an n×m matrix of registers, all ⊥.
-func NewRegMatrix(name string, n, m int) [][]*Reg {
-	rows := make([][]*Reg, n)
-	for i := range rows {
-		rows[i] = make([]*Reg, m)
-		for j := range rows[i] {
-			rows[i][j] = NewReg(fmt.Sprintf("%s[%d][%d]", name, i, j))
-			rows[i][j].cell = i*m + j
-		}
-	}
-	return rows
-}
-
-// NewRegMatrixInit allocates an n×m matrix of registers initialized to v.
-func NewRegMatrixInit(name string, n, m int, v Word) [][]*Reg {
-	rows := make([][]*Reg, n)
-	for i := range rows {
-		rows[i] = make([]*Reg, m)
-		for j := range rows[i] {
-			rows[i][j] = NewRegInit(fmt.Sprintf("%s[%d][%d]", name, i, j), v)
-			rows[i][j].cell = i*m + j
-		}
-	}
-	return rows
-}
-
 // ConsObject is a primitive object with consensus number C, following
 // the formal model of §4.1/Appendix A of the paper: the first invocation
 // decides its proposed value; invocations 2..C return the decided value;
@@ -195,14 +169,4 @@ func (o *ConsObject) Invoke(v Word) Word {
 func (o *ConsObject) Reset() {
 	o.invocations = 0
 	o.decided = Bottom
-}
-
-// NewConsArray allocates n C-consensus objects named name[0..n-1].
-func NewConsArray(name string, n, c int) []*ConsObject {
-	os := make([]*ConsObject, n)
-	for i := range os {
-		os[i] = NewConsObject(fmt.Sprintf("%s[%d]", name, i), c)
-		os[i].cell = i
-	}
-	return os
 }

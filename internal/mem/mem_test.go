@@ -65,20 +65,6 @@ func TestRegArrayNamesAndInit(t *testing.T) {
 	}
 }
 
-func TestRegMatrixShape(t *testing.T) {
-	m := mem.NewRegMatrix("M", 2, 3)
-	if len(m) != 2 || len(m[0]) != 3 {
-		t.Fatalf("shape = %dx%d", len(m), len(m[0]))
-	}
-	if m[1][2].Name() != "M[1][2]" {
-		t.Fatalf("name = %q", m[1][2].Name())
-	}
-	mi := mem.NewRegMatrixInit("N", 2, 2, 5)
-	if mi[1][1].Load() != 5 {
-		t.Fatal("matrix init wrong")
-	}
-}
-
 // TestConsObjectSemantics checks the paper's C-consensus model: the
 // first proposal is decided; invocations 2..C see it; invocations > C
 // see ⊥ — for arbitrary C and proposal sequences.
@@ -120,21 +106,6 @@ func TestConsObjectPanicsOnBadC(t *testing.T) {
 		}
 	}()
 	mem.NewConsObject("bad", 0)
-}
-
-func TestConsArray(t *testing.T) {
-	os := mem.NewConsArray("O", 4, 2)
-	if len(os) != 4 {
-		t.Fatalf("len = %d", len(os))
-	}
-	for _, o := range os {
-		if o.C() != 2 {
-			t.Fatal("wrong C")
-		}
-	}
-	if os[2].Name() != "O[2]" {
-		t.Fatalf("name = %q", os[2].Name())
-	}
 }
 
 // TestCASObjectSemantics checks the baseline hardware-CAS word.

@@ -118,18 +118,25 @@ func TestSubmitAndCompleteCheckJob(t *testing.T) {
 func TestSubmitRejections(t *testing.T) {
 	svc, ts := newFarm(t, service.Config{})
 	defer svc.Stop()
-	cases := []string{
-		`{not json`,
-		`{"kind":"mystery"}`,
-		`{"kind":"check"}`,
-		`{"kind":"check","check":{"meta":{"workload":"nope"},"mode":"all"}}`,
-		`{"kind":"check","check":{"meta":{"workload":"unicons","quantum":8},"mode":"mystery"}}`,
-		`{"kind":"soak","soak":{"workload":"nope","seed":1}}`,
+	cases := []struct {
+		body string
+		code int
+	}{
+		{`{not json`, http.StatusBadRequest},
+		{`{"kind":"mystery"}`, http.StatusBadRequest},
+		{`{"kind":"check"}`, http.StatusBadRequest},
+		{`{"kind":"check","check":{"meta":{"workload":"nope"},"mode":"all"}}`, http.StatusBadRequest},
+		{`{"kind":"check","check":{"meta":{"workload":"unicons","quantum":8},"mode":"mystery"}}`, http.StatusBadRequest},
+		{`{"kind":"soak","soak":{"workload":"nope","seed":1}}`, http.StatusBadRequest},
+		// A misspelt option is refused, not dropped.
+		{`{"kind":"check","check":{"meta":{"workload":"unicons","n":2,"v":1,"quantum":8},"mode":"all","stop_at_frist":true}}`, http.StatusBadRequest},
+		// A body past the 1 MiB cap is refused whole, not cut short.
+		{`{"kind":"check","pad":"` + strings.Repeat("x", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	}
-	for _, body := range cases {
-		code, resp := doJSON(t, "POST", ts.URL+"/jobs", body)
-		if code != http.StatusBadRequest {
-			t.Errorf("submit %q: code %d (%v), want 400", body, code, resp)
+	for _, tc := range cases {
+		code, resp := doJSON(t, "POST", ts.URL+"/jobs", tc.body)
+		if code != tc.code {
+			t.Errorf("submit %.80q: code %d (%v), want %d", tc.body, code, resp, tc.code)
 		}
 	}
 	if jobs := svc.Jobs(); len(jobs) != 0 {

@@ -12,7 +12,7 @@ import (
 )
 
 // maxBodyBytes bounds request bodies: job specs are small JSON
-// documents, so anything bigger is a client error.
+// documents, so anything bigger is refused with 413.
 const maxBodyBytes = 1 << 20
 
 // Handler returns the service's REST API:
@@ -67,9 +67,14 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "read body: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": "read body: " + err.Error()})
 		return
 	}
 	spec, err := jobspec.Parse(body)

@@ -15,8 +15,10 @@
 package jobspec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -122,11 +124,18 @@ func (s *Spec) Describe() string {
 	}
 }
 
-// Parse decodes and validates a spec from JSON.
+// Parse decodes and validates a spec from JSON. An unknown field is an
+// error: a misspelt option would otherwise be dropped and the job run
+// with a different meaning.
 func Parse(data []byte) (*Spec, error) {
 	s := &Spec{}
-	if err := json.Unmarshal(data, s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(s); err != nil {
 		return nil, fmt.Errorf("jobspec: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("jobspec: decode: data after the spec")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package jobspec_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,6 +62,13 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if _, err := jobspec.Parse([]byte(`{"kind":"check"}`)); err == nil {
 		t.Fatal("kind/payload mismatch accepted")
+	}
+	if _, err := jobspec.Parse(append(data, ` {}`...)); err == nil {
+		t.Fatal("data after the spec accepted")
+	}
+	typo := `{"kind":"check","check":{"meta":{"workload":"unicons","n":2,"v":1,"quantum":8},"mode":"all","stop_at_frist":true}}`
+	if _, err := jobspec.Parse([]byte(typo)); err == nil || !strings.Contains(err.Error(), "stop_at_frist") {
+		t.Fatalf("misspelt field: err %v, want one naming stop_at_frist", err)
 	}
 }
 

@@ -13,7 +13,6 @@
 //	jobs/job-000001/status.json    the server's job status record
 //	jobs/job-000001/progress.json  cumulative check-job result + frontier
 //	jobs/job-000001/state/         campaign state dir (soak jobs)
-//	jobs/job-000001/scratch/       per-job scratch artifact dir
 //	artifacts/<sha256>.json        content-addressed repro bundles
 //
 // Job IDs are dense ("job-%06d"): CreateJob scans the existing IDs and
@@ -145,16 +144,6 @@ func (s *Store) JobIDs() ([]string, error) {
 	return ids, nil
 }
 
-// HasJob reports whether id names an existing job directory.
-func (s *Store) HasJob(id string) bool {
-	dir, err := s.jobDir(id)
-	if err != nil {
-		return false
-	}
-	info, err := os.Stat(dir)
-	return err == nil && info.IsDir()
-}
-
 // WriteJobFile atomically writes one file inside a job's directory.
 // name must be a bare file name (no separators).
 func (s *Store) WriteJobFile(id, name string, data []byte) error {
@@ -196,17 +185,6 @@ func (s *Store) StateDir(id string) (string, error) {
 		return "", err
 	}
 	return filepath.Join(dir, "state"), nil
-}
-
-// ScratchDir returns a job's scratch artifact directory, where a
-// running job drops bundles before they are imported into the
-// content-addressed area.
-func (s *Store) ScratchDir(id string) (string, error) {
-	dir, err := s.jobDir(id)
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, "scratch"), nil
 }
 
 // artifactKeyRe is the only artifact-key shape the store accepts
@@ -256,8 +234,8 @@ func (s *Store) putBlob(key string, data []byte) error {
 	return writeAtomic(path, data)
 }
 
-// ImportArtifact loads a bundle file (e.g. from a job's scratch or
-// campaign artifact directory) and stores it content-addressed.
+// ImportArtifact loads a bundle file (e.g. from a campaign artifact
+// directory) and stores it content-addressed.
 func (s *Store) ImportArtifact(path string) (string, error) {
 	b, err := artifact.Load(path)
 	if err != nil {

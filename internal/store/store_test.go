@@ -71,9 +71,6 @@ func TestJobFilesRoundTrip(t *testing.T) {
 	if err != nil || missing != nil {
 		t.Fatalf("missing file: data=%q err=%v, want nil/nil", missing, err)
 	}
-	if !s.HasJob(id) || s.HasJob("job-999999") {
-		t.Fatal("HasJob wrong")
-	}
 }
 
 func TestMalformedIDsAndNamesRejected(t *testing.T) {
@@ -169,16 +166,10 @@ func TestStateAndScratchDirsAreInsideJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := s.ScratchDir(id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	jobRoot := filepath.Join(s.Root(), "jobs", id)
-	for _, dir := range []string{state, scratch} {
-		rel, err := filepath.Rel(jobRoot, dir)
-		if err != nil || rel == ".." || filepath.IsAbs(rel) {
-			t.Fatalf("dir %s escapes job root %s", dir, jobRoot)
-		}
+	rel, err := filepath.Rel(jobRoot, state)
+	if err != nil || rel == ".." || filepath.IsAbs(rel) {
+		t.Fatalf("dir %s escapes job root %s", state, jobRoot)
 	}
 	if _, err := s.StateDir("bogus"); err == nil {
 		t.Fatal("malformed id accepted")
